@@ -331,46 +331,6 @@ impl ApuDevice {
         Ok(())
     }
 
-    /// Copies bytes host → device.
-    ///
-    /// # Errors
-    ///
-    /// Fails on stale handles or size overruns.
-    #[deprecated(since = "0.2.0", note = "use `copy_to_device::<u8>` instead")]
-    pub fn write_bytes(&mut self, handle: MemHandle, data: &[u8]) -> Result<()> {
-        self.copy_to_device(handle, data)
-    }
-
-    /// Copies bytes device → host.
-    ///
-    /// # Errors
-    ///
-    /// Fails on stale handles or size overruns.
-    #[deprecated(since = "0.2.0", note = "use `copy_from_device::<u8>` instead")]
-    pub fn read_bytes(&self, handle: MemHandle, out: &mut [u8]) -> Result<()> {
-        self.copy_from_device(handle, out)
-    }
-
-    /// Copies u16 elements host → device.
-    ///
-    /// # Errors
-    ///
-    /// Fails on stale handles or size overruns.
-    #[deprecated(since = "0.2.0", note = "use `copy_to_device::<u16>` instead")]
-    pub fn write_u16s(&mut self, handle: MemHandle, data: &[u16]) -> Result<()> {
-        self.copy_to_device(handle, data)
-    }
-
-    /// Copies u16 elements device → host.
-    ///
-    /// # Errors
-    ///
-    /// Fails on stale handles or size overruns.
-    #[deprecated(since = "0.2.0", note = "use `copy_from_device::<u16>` instead")]
-    pub fn read_u16s(&self, handle: MemHandle, out: &mut [u16]) -> Result<()> {
-        self.copy_from_device(handle, out)
-    }
-
     /// Device DRAM capacity and live bytes, for capacity planning.
     pub fn l4_usage(&self) -> (usize, usize) {
         (self.l4.live_bytes(), self.l4.capacity())
@@ -707,23 +667,18 @@ mod tests {
         assert_eq!(out, vals);
         // Oversized transfers are still rejected.
         assert!(dev.copy_to_device(h, &[0i64; 7]).is_err());
-    }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_copy_wrappers_still_work() {
-        let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(1 << 20));
-        let h = dev.alloc_u16(4).unwrap();
-        dev.write_u16s(h, &[10, 20, 30, 40]).unwrap();
-        let mut out = vec![0u16; 4];
-        dev.read_u16s(h, &mut out).unwrap();
-        assert_eq!(out, vec![10, 20, 30, 40]);
-
-        let hb = dev.alloc(4).unwrap();
-        dev.write_bytes(hb, &[1, 2, 3, 4]).unwrap();
-        let mut bytes = [0u8; 4];
-        dev.read_bytes(hb, &mut bytes).unwrap();
-        assert_eq!(bytes, [1, 2, 3, 4]);
+        // The narrow element types round-trip through the same path.
+        let h16 = dev.alloc_u16(4).unwrap();
+        dev.copy_to_device(h16, &[10u16, 20, 30, 40]).unwrap();
+        let mut out16 = [0u16; 4];
+        dev.copy_from_device(h16, &mut out16).unwrap();
+        assert_eq!(out16, [10, 20, 30, 40]);
+        let h8 = dev.alloc(4).unwrap();
+        dev.copy_to_device(h8, &[1u8, 2, 3, 4]).unwrap();
+        let mut out8 = [0u8; 4];
+        dev.copy_from_device(h8, &mut out8).unwrap();
+        assert_eq!(out8, [1, 2, 3, 4]);
     }
 
     #[test]

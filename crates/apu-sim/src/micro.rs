@@ -298,7 +298,7 @@ impl MicroState {
     /// `i` observes its west neighbour's *already updated* RL, so a
     /// value propagates eastward across the whole register within one
     /// micro-op. That arm keeps a documented sequential loop
-    /// ([`Self::latch_west`]); `RlEast` reads the *old* neighbour value
+    /// (`latch_west`); `RlEast` reads the *old* neighbour value
     /// (the sweep has not reached it yet), which an in-place forward
     /// pass preserves.
     pub fn execute(&mut self, vrs: &mut [Vec<u16>], op: &MicroOp) {

@@ -76,7 +76,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use crate::clock::Cycles;
-use crate::device::{ApuContext, ApuDevice, TaskReport};
+use crate::device::{ApuDevice, TaskReport};
 use crate::error::Error;
 use crate::spec::{AdmissionControl, SchedPolicy, TaskSpec, TenantId};
 use crate::stats::{LatencyReservoir, StageBreakdown, VcuStats, DEFAULT_RESERVOIR_CAP};
@@ -102,8 +102,8 @@ pub enum Priority {
     Low,
 }
 
-/// Identifier of a submitted task, returned by the `submit` family and
-/// echoed in the matching [`Completion`].
+/// Identifier of a submitted task, returned by [`DeviceQueue::submit`]
+/// and echoed in the matching [`Completion`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskHandle(u64);
 
@@ -114,8 +114,8 @@ impl TaskHandle {
     }
 }
 
-/// Batch-compatibility class of a [`DeviceQueue::submit_batchable`]
-/// submission: jobs may be coalesced into one device dispatch only when
+/// Batch-compatibility class of a [`TaskSpec::batch`] submission: jobs
+/// may be coalesced into one device dispatch only when
 /// they share a key (and a [`Priority`]). Producers derive the key from
 /// whatever makes dispatches fungible — e.g. the RAG layer keys on the
 /// corpus and `k` so only same-corpus retrievals ever share a batch.
@@ -317,7 +317,7 @@ pub struct Completion {
     /// Retire time (`started_at` + service).
     pub finished_at: Duration,
     /// Logical tasks the carrying dispatch coalesced (1 when unbatched;
-    /// the declared weight for `submit_weighted` jobs).
+    /// the declared [`TaskSpec::weight`] for weighted jobs).
     pub batch_size: usize,
     /// Sequence number of the device dispatch that carried this task —
     /// batch members share it, so it identifies who rode together.
@@ -325,7 +325,7 @@ pub struct Completion {
     /// shed, or failed at the dispatch gate).
     pub dispatch: Option<u64>,
     /// Batch-compatibility key, for tasks submitted via
-    /// [`DeviceQueue::submit_batchable`].
+    /// [`TaskSpec::batch`]; `None` for tasks that dispatch alone.
     pub batch_key: Option<BatchKey>,
     /// Dispatch attempts this task consumed (> 1 after retries; a shed
     /// task reports the attempts made before its deadline passed).
@@ -425,17 +425,18 @@ pub type BatchRunner<'t> = Box<
     dyn FnOnce(&mut ApuDevice, Vec<Box<dyn Any>>) -> Result<(TaskReport, Vec<BatchOutput>)> + 't,
 >;
 
-pub(crate) enum Work<'t> {
-    /// Dispatches alone.
-    Single(Job<'t>),
-    /// May be coalesced with same-priority, same-key neighbours. Every
-    /// member carries an equivalent `run` closure; the dispatcher uses
-    /// the first member's and drops the rest.
-    Batchable {
-        key: BatchKey,
-        payload: Box<dyn Any>,
-        run: BatchRunner<'t>,
-    },
+/// The work a submission carries. Every task is a batch member: a plain
+/// job is a runner with one output and no key, so it dispatches alone.
+pub(crate) struct Work<'t> {
+    /// Batch-compatibility class; keyed work may be coalesced with
+    /// same-priority, same-key neighbours, unkeyed work never is.
+    pub(crate) key: Option<BatchKey>,
+    /// This member's contribution to the runner's payload list.
+    pub(crate) payload: Box<dyn Any>,
+    /// Executes the whole dispatch. Every member of a batch carries an
+    /// equivalent runner; the dispatcher uses the first member's and
+    /// drops the rest.
+    pub(crate) run: BatchRunner<'t>,
 }
 
 struct Pending<'t> {
@@ -622,10 +623,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             self.stats.batches += 1;
             self.stats.batched_tasks += weight;
         }
-        let batch_key = match &work {
-            Work::Batchable { key, .. } => Some(key.get()),
-            Work::Single(_) => None,
-        };
+        let batch_key = work.key.map(BatchKey::get);
         // Start-time fair queueing (SFQ): freeze the virtual-time tag at
         // admission. A tenant's tag advances by weight/share per admitted
         // unit, so backlogged heavy tenants accumulate tags faster and
@@ -658,147 +656,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             deadline: deadline_cycles,
         });
         Ok(handle)
-    }
-
-    /// Submits a job with an explicit arrival time on the virtual
-    /// timeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_at(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        job: Job<'t>,
-    ) -> Result<TaskHandle> {
-        self.submit(TaskSpec::job(job).priority(priority).at(arrival))
-    }
-
-    /// Submits a *batch* job folding `weight` logical tasks into one
-    /// dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit, or
-    /// [`Error::InvalidArg`] for a zero weight.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_weighted(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        weight: u64,
-        job: Job<'t>,
-    ) -> Result<TaskHandle> {
-        self.submit(
-            TaskSpec::job(job)
-                .priority(priority)
-                .at(arrival)
-                .weight(weight),
-        )
-    }
-
-    /// Submits a job with a time-to-live (see [`TaskSpec::ttl`] for the
-    /// shedding semantics).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_with_ttl(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        ttl: Duration,
-        job: Job<'t>,
-    ) -> Result<TaskHandle> {
-        self.submit(TaskSpec::job(job).priority(priority).at(arrival).ttl(ttl))
-    }
-
-    /// Submits a job eligible for **continuous batching** (see
-    /// [`TaskSpec::batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_batchable(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        key: BatchKey,
-        payload: Box<dyn Any>,
-        run: BatchRunner<'t>,
-    ) -> Result<TaskHandle> {
-        self.submit(
-            TaskSpec::batch(key, payload, run)
-                .priority(priority)
-                .at(arrival),
-        )
-    }
-
-    /// [`TaskSpec::batch`] with a time-to-live.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_batchable_with_ttl(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        ttl: Duration,
-        key: BatchKey,
-        payload: Box<dyn Any>,
-        run: BatchRunner<'t>,
-    ) -> Result<TaskHandle> {
-        self.submit(
-            TaskSpec::batch(key, payload, run)
-                .priority(priority)
-                .at(arrival)
-                .ttl(ttl),
-        )
-    }
-
-    /// Convenience: submits a single-core kernel arriving now, with unit
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `TaskSpec::kernel` and call `submit(spec)`"
-    )]
-    pub fn submit_kernel<F>(&mut self, priority: Priority, kernel: F) -> Result<TaskHandle>
-    where
-        F: FnOnce(&mut ApuContext<'_>) -> Result<()> + 't,
-    {
-        self.submit(TaskSpec::kernel(kernel).priority(priority))
-    }
-
-    /// Convenience: submits a job with a typed output, boxing it for the
-    /// [`Completion`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `TaskSpec::typed` and call `submit(spec)`"
-    )]
-    pub fn submit_job<T, F>(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        job: F,
-    ) -> Result<TaskHandle>
-    where
-        T: Any,
-        F: FnOnce(&mut ApuDevice) -> Result<(TaskReport, T)> + 't,
-    {
-        self.submit(TaskSpec::typed(job).priority(priority).at(arrival))
     }
 
     /// Index (into `pending`) of the next task to dispatch. Under
@@ -934,10 +791,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             }
             let task = self.pending.remove(i).expect("index is valid");
             let deadline = task.deadline.expect("task was expired by deadline");
-            let batch_key = match &task.work {
-                Work::Batchable { key, .. } => Some(*key),
-                Work::Single(_) => None,
-            };
             self.stats.expired += task.weight;
             self.stats
                 .per_tenant
@@ -953,7 +806,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 finished_at: deadline,
                 batch_size: task.weight as usize,
                 dispatch: None,
-                batch_key,
+                batch_key: task.work.key,
                 attempts: task.attempt,
                 report: Self::empty_report(),
                 outcome: TaskOutcome::Failed(Error::DeadlineExceeded { deadline }),
@@ -1023,10 +876,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             let Some(idx) = victim else { break };
             let task = self.pending.remove(idx).expect("victim index is valid");
             let at = task.eligible.max(horizon);
-            let batch_key = match &task.work {
-                Work::Batchable { key, .. } => Some(*key),
-                Work::Single(_) => None,
-            };
             self.stats.shed_admission += task.weight;
             self.stats
                 .per_tenant
@@ -1044,7 +893,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 finished_at: at,
                 batch_size: task.weight as usize,
                 dispatch: None,
-                batch_key,
+                batch_key: task.work.key,
                 attempts: task.attempt,
                 report: Self::empty_report(),
                 outcome: TaskOutcome::Failed(e),
@@ -1073,13 +922,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     pub fn step(&mut self) -> Result<Option<&Completion>> {
         let shed_expired = self.shed_expired();
         let shed = self.shed_admission_backlog() || shed_expired;
-        let retired = match self.select() {
-            Some(idx) => match self.pending[idx].work {
-                Work::Single(_) => self.dispatch_single(idx)?,
-                Work::Batchable { .. } => self.dispatch_batch(idx)?,
-            },
-            None => false,
-        };
+        let retired = self.select().is_some_and(|idx| self.dispatch(idx));
         if retired || shed {
             Ok(self.completions.last())
         } else {
@@ -1189,37 +1032,46 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     }
 
     /// Contains a pre-dispatch failure (the fault gate fired before the
-    /// job ran): re-queues the task with backoff when the configured
+    /// task ran): re-queues the task with backoff when the configured
     /// retry policy still has budget, otherwise retires it as a `Failed`
-    /// completion that never reached the device. Returns whether a
-    /// completion was retired.
-    fn contain_predispatch_failure(&mut self, idx: usize, e: Error) -> Result<bool> {
-        let horizon = self.horizon();
-        let retryable = self.cfg.retry.is_some_and(|policy| {
-            e.is_transient() && self.pending[idx].attempt < policy.max_retries
+    /// completion that never reached the device. A re-queued task goes
+    /// back to `slot` — an unkeyed task keeps its place in line — or, for
+    /// `None`, to the back of the backlog: a batch member gives up its
+    /// FIFO spot. Returns whether a completion was retired.
+    fn contain_predispatch_failure(
+        &mut self,
+        mut task: Pending<'t>,
+        slot: Option<usize>,
+        e: Error,
+        horizon: Duration,
+    ) -> bool {
+        let at = task.eligible.max(horizon);
+        let seq = self.dev.fault_counts().tasks_injected;
+        self.emit_with(at, || TraceEventKind::FaultInjected {
+            scope: FaultScope::Task,
+            seq,
         });
-        if retryable {
-            let policy = self.cfg.retry.expect("checked above");
-            let p = &mut self.pending[idx];
-            let decided_at = p.eligible.max(horizon);
-            p.eligible = decided_at + policy.delay(p.attempt);
-            p.attempt += 1;
+        let retry = self
+            .cfg
+            .retry
+            .filter(|policy| e.is_transient() && task.attempt < policy.max_retries);
+        if let Some(policy) = retry {
+            task.eligible = at + policy.delay(task.attempt);
+            task.attempt += 1;
             self.stats.retries += 1;
-            let (handle, attempt, eligible) = (p.handle.0, p.attempt, p.eligible);
-            let eligible_cycles = self.trace_ts(eligible);
-            self.emit_with(decided_at, || TraceEventKind::TaskRetried {
+            let (handle, attempt) = (task.handle.0, task.attempt);
+            let eligible_cycles = self.trace_ts(task.eligible);
+            self.emit_with(at, || TraceEventKind::TaskRetried {
                 handle,
                 attempt,
                 eligible: eligible_cycles,
             });
-            return Ok(false);
+            match slot {
+                Some(i) => self.pending.insert(i, task),
+                None => self.pending.push_back(task),
+            }
+            return false;
         }
-        let task = self.pending.remove(idx).expect("index is valid");
-        let at = task.eligible.max(horizon);
-        let batch_key = match &task.work {
-            Work::Batchable { key, .. } => Some(*key),
-            Work::Single(_) => None,
-        };
         self.stats.failed += task.weight;
         self.book_tenant_failure(task.tenant, task.weight);
         let error_text = e.to_string();
@@ -1232,7 +1084,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             finished_at: at,
             batch_size: task.weight as usize,
             dispatch: None,
-            batch_key,
+            batch_key: task.work.key,
             attempts: task.attempt + 1,
             report: Self::empty_report(),
             outcome: TaskOutcome::Failed(e),
@@ -1241,156 +1093,56 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             handle: task.handle.0,
             error: error_text,
         });
-        Ok(true)
+        true
     }
 
-    fn dispatch_single(&mut self, idx: usize) -> Result<bool> {
-        if let Some(e) = self.dev.fault_check_task(None) {
-            let at = self.pending[idx].eligible.max(self.horizon());
-            let seq = self.dev.fault_counts().tasks_injected;
-            self.emit_with(at, || TraceEventKind::FaultInjected {
-                scope: FaultScope::Task,
-                seq,
-            });
-            return self.contain_predispatch_failure(idx, e);
-        }
-        let task = self.pending.remove(idx).expect("selected index is valid");
-        let Work::Single(job) = task.work else {
-            unreachable!("dispatch_single is only called on single work");
-        };
-        self.advance_virtual_clock(task.vstart);
-        let snap = self.device_snapshot();
-        match job(self.dev) {
-            Ok((report, value)) => {
-                let (start, finish, cores) =
-                    self.occupy(report.cores_used, task.eligible, report.duration);
-                let dispatch = self.next_dispatch;
-                self.next_dispatch += 1;
-                self.stats.dispatches += 1;
-                self.stats.dispatched_tasks += task.weight;
-                self.stats.max_batch_size = self.stats.max_batch_size.max(task.weight);
-                self.stats.busy += report.duration * cores.len() as u32;
-                self.stats.makespan = self.stats.makespan.max(finish);
-                self.book_success(
-                    task.tenant,
-                    start - task.arrival,
-                    report.duration,
-                    finish - task.arrival,
-                    &report.stats,
-                    task.weight,
-                );
-                self.emit_dispatch(
-                    dispatch,
-                    start,
-                    finish,
-                    &cores,
-                    &[task.handle],
-                    task.weight,
-                    None,
-                );
-                self.emit_retire(task.handle, dispatch, finish, None);
-
-                self.completions.push(Completion {
-                    handle: task.handle,
-                    priority: task.priority,
-                    tenant: task.tenant,
-                    submitted_at: task.arrival,
-                    started_at: start,
-                    finished_at: finish,
-                    batch_size: task.weight as usize,
-                    dispatch: Some(dispatch),
-                    batch_key: None,
-                    attempts: task.attempt + 1,
-                    report,
-                    outcome: TaskOutcome::Ok(value),
-                });
-            }
-            Err(e) => {
-                // The job consumed device time before failing; book that
-                // time on the timeline so failures still cost throughput.
-                let report = self.failed_report(snap);
-                let (start, finish, cores) =
-                    self.occupy(report.cores_used, task.eligible, report.duration);
-                let dispatch = self.next_dispatch;
-                self.next_dispatch += 1;
-                self.stats.dispatches += 1;
-                self.stats.dispatched_tasks += task.weight;
-                self.stats.failed += task.weight;
-                self.book_tenant_failure(task.tenant, task.weight);
-                self.stats.busy += report.duration * cores.len() as u32;
-                self.stats.makespan = self.stats.makespan.max(finish);
-                self.emit_dispatch(
-                    dispatch,
-                    start,
-                    finish,
-                    &cores,
-                    &[task.handle],
-                    task.weight,
-                    None,
-                );
-                self.emit_retire(task.handle, dispatch, finish, Some(e.to_string()));
-
-                self.completions.push(Completion {
-                    handle: task.handle,
-                    priority: task.priority,
-                    tenant: task.tenant,
-                    submitted_at: task.arrival,
-                    started_at: start,
-                    finished_at: finish,
-                    batch_size: task.weight as usize,
-                    dispatch: Some(dispatch),
-                    batch_key: None,
-                    attempts: task.attempt + 1,
-                    report,
-                    outcome: TaskOutcome::Failed(e),
-                });
-            }
-        }
-        Ok(true)
-    }
-
-    fn dispatch_batch(&mut self, idx: usize) -> Result<bool> {
-        let (head_priority, head_key, head_arrival) = {
-            let head = &self.pending[idx];
-            let Work::Batchable { key, .. } = &head.work else {
-                unreachable!("dispatch_batch is only called on batchable work");
-            };
-            (head.priority, *key, head.arrival)
-        };
-        let horizon = self.horizon();
-        let window_close = head_arrival.max(horizon) + self.cfg.max_batch_wait;
-
-        // Gather every compatible job of the head's (priority, key)
-        // class arriving inside the window, then pick `max_batch` of
-        // them: FIFO in submission order under the default policy,
-        // earliest-deadline-first under [`SchedPolicy::SloAware`] (so a
-        // full window sheds slack from the members that can afford it,
-        // not from whoever happened to submit last).
-        let mut member_idx: Vec<usize> = Vec::new();
-        for (i, p) in self.pending.iter().enumerate() {
-            let compatible = p.priority == head_priority
-                && matches!(&p.work, Work::Batchable { key, .. } if *key == head_key)
-                && p.arrival <= window_close;
-            if compatible {
-                member_idx.push(i);
-            }
-        }
+    /// Indices (into `pending`) of the batch the keyed head at `idx`
+    /// forms: every pending job of the head's (priority, key) class
+    /// arriving inside the batching window, `max_batch` of them — FIFO
+    /// in submission order under the default policy, earliest deadline
+    /// first under [`SchedPolicy::SloAware`] (so a full window sheds
+    /// slack from the members that can afford it, not from whoever
+    /// happened to submit last).
+    fn gather(&self, idx: usize, key: BatchKey, horizon: Duration) -> Vec<usize> {
+        let head = &self.pending[idx];
+        let (priority, opened) = (head.priority, head.arrival.max(horizon));
+        let window_close = opened + self.cfg.max_batch_wait;
+        let mut member_idx: Vec<usize> = self
+            .pending
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| {
+                p.priority == priority && p.work.key == Some(key) && p.arrival <= window_close
+            })
+            .map(|(i, _)| i)
+            .collect();
         if self.cfg.scheduler == SchedPolicy::SloAware {
-            member_idx.sort_by_key(|&i| {
-                let p = &self.pending[i];
-                (p.deadline.unwrap_or(Duration::MAX), i)
-            });
+            member_idx.sort_by_key(|&i| (self.pending[i].deadline.unwrap_or(Duration::MAX), i));
         }
         member_idx.truncate(self.cfg.max_batch.max(1));
         let window_close_cycles = self.trace_ts(window_close);
-        self.emit_with(head_arrival.max(horizon), || TraceEventKind::BatchFormed {
-            key: head_key.get(),
+        self.emit_with(opened, || TraceEventKind::BatchFormed {
+            key: key.get(),
             members: member_idx
                 .iter()
                 .map(|&i| self.pending[i].handle.0)
                 .collect(),
             window_close: window_close_cycles,
         });
+        member_idx
+    }
+
+    /// Dispatches the task at `idx` as one device job: alone when it
+    /// carries no batch key, coalesced with its compatible neighbours
+    /// (see [`DeviceQueue::gather`]) when it does. Returns whether a
+    /// completion retired.
+    fn dispatch(&mut self, idx: usize) -> bool {
+        let horizon = self.horizon();
+        let key = self.pending[idx].work.key;
+        let member_idx = match key {
+            Some(key) => self.gather(idx, key, horizon),
+            None => vec![idx],
+        };
 
         // Remove back-to-front so earlier indices stay valid, then
         // restore the chosen membership order (which may differ from
@@ -1412,72 +1164,20 @@ impl<'d, 't> DeviceQueue<'d, 't> {
 
         // Fault-gate each member individually: a poisoned member fails
         // (or retries) alone while its healthy siblings still ride
-        // together. A retried member rejoins at the back of the backlog,
-        // giving up its FIFO spot for this batch.
+        // together.
+        let retry_slot = key.is_none().then_some(idx);
         let mut retired_any = false;
         let mut payloads = Vec::with_capacity(members.len());
         let mut runner: Option<BatchRunner<'t>> = None;
         let mut meta: Vec<MemberMeta> = Vec::with_capacity(members.len());
         let mut latest_eligible = Duration::ZERO;
-        for mut m in members {
-            if let Some(e) = self.dev.fault_check_task(Some(head_key)) {
-                let gate_at = m.eligible.max(horizon);
-                let seq = self.dev.fault_counts().tasks_injected;
-                self.emit_with(gate_at, || TraceEventKind::FaultInjected {
-                    scope: FaultScope::Task,
-                    seq,
-                });
-                let retryable = self
-                    .cfg
-                    .retry
-                    .is_some_and(|policy| e.is_transient() && m.attempt < policy.max_retries);
-                if retryable {
-                    let policy = self.cfg.retry.expect("checked above");
-                    m.eligible = gate_at + policy.delay(m.attempt);
-                    m.attempt += 1;
-                    self.stats.retries += 1;
-                    let (handle, attempt) = (m.handle.0, m.attempt);
-                    let eligible_cycles = self.trace_ts(m.eligible);
-                    self.emit_with(gate_at, || TraceEventKind::TaskRetried {
-                        handle,
-                        attempt,
-                        eligible: eligible_cycles,
-                    });
-                    self.pending.push_back(m);
-                } else {
-                    let at = gate_at;
-                    self.stats.failed += m.weight;
-                    self.book_tenant_failure(m.tenant, m.weight);
-                    let error_text = e.to_string();
-                    self.completions.push(Completion {
-                        handle: m.handle,
-                        priority: m.priority,
-                        tenant: m.tenant,
-                        submitted_at: m.arrival,
-                        started_at: at,
-                        finished_at: at,
-                        batch_size: m.weight as usize,
-                        dispatch: None,
-                        batch_key: Some(head_key),
-                        attempts: m.attempt + 1,
-                        report: Self::empty_report(),
-                        outcome: TaskOutcome::Failed(e),
-                    });
-                    self.emit_with(at, || TraceEventKind::TaskFailed {
-                        handle: m.handle.0,
-                        error: error_text,
-                    });
-                    retired_any = true;
-                }
+        for m in members {
+            if let Some(e) = self.dev.fault_check_task(key) {
+                retired_any |= self.contain_predispatch_failure(m, retry_slot, e, horizon);
                 continue;
             }
-            let Work::Batchable { payload, run, .. } = m.work else {
-                unreachable!("members are filtered to batchable work");
-            };
-            payloads.push(payload);
-            if runner.is_none() {
-                runner = Some(run);
-            }
+            payloads.push(m.work.payload);
+            runner.get_or_insert(m.work.run);
             latest_eligible = latest_eligible.max(m.eligible);
             self.advance_virtual_clock(m.vstart);
             meta.push(MemberMeta {
@@ -1489,80 +1189,43 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 weight: m.weight,
             });
         }
-        let n = meta.len();
         let Some(run) = runner else {
             // Every member was poisoned or re-queued for retry.
-            return Ok(retired_any);
+            return retired_any;
         };
 
+        // A runner-level failure (or a malformed output arity) fails
+        // every member of this dispatch together, booking the device
+        // time the dispatch actually consumed.
+        let n = meta.len();
         let snap = self.device_snapshot();
-        let run_result = run(self.dev, payloads);
-
-        // Runner-level failure (or a malformed output arity) fails every
-        // member of this dispatch together, booking the device time the
-        // batch actually consumed.
-        let e = match run_result {
-            Ok((report, outputs)) if outputs.len() == n => {
-                self.book_batch(&meta, head_key, latest_eligible, report, outputs);
-                return Ok(true);
+        let (report, outputs) = match run(self.dev, payloads) {
+            Ok((report, outputs)) if outputs.len() == n => (report, outputs),
+            result => {
+                let e = match result {
+                    Ok((_, outputs)) => Error::TaskFailed(format!(
+                        "batch runner returned {} outputs for {n} members",
+                        outputs.len()
+                    )),
+                    Err(e) => e,
+                };
+                (
+                    self.failed_report(snap),
+                    (0..n).map(|_| Err(e.clone())).collect(),
+                )
             }
-            Ok((_, outputs)) => Error::TaskFailed(format!(
-                "batch runner returned {} outputs for {n} members",
-                outputs.len()
-            )),
-            Err(e) => e,
         };
-        let report = self.failed_report(snap);
-        let (start, finish, cores) =
-            self.occupy(report.cores_used, latest_eligible, report.duration);
-        let total_weight: u64 = meta.iter().map(|m| m.weight).sum();
-        let dispatch = self.next_dispatch;
-        self.next_dispatch += 1;
-        self.stats.dispatches += 1;
-        self.stats.dispatched_tasks += total_weight;
-        self.stats.max_batch_size = self.stats.max_batch_size.max(total_weight);
-        self.stats.busy += report.duration * cores.len() as u32;
-        self.stats.makespan = self.stats.makespan.max(finish);
-        let handles: Vec<TaskHandle> = meta.iter().map(|m| m.handle).collect();
-        self.emit_dispatch(
-            dispatch,
-            start,
-            finish,
-            &cores,
-            &handles,
-            total_weight,
-            Some(head_key),
-        );
-        for m in meta {
-            self.stats.failed += m.weight;
-            self.book_tenant_failure(m.tenant, m.weight);
-            self.emit_retire(m.handle, dispatch, finish, Some(e.to_string()));
-            self.completions.push(Completion {
-                handle: m.handle,
-                priority: m.priority,
-                tenant: m.tenant,
-                submitted_at: m.arrival,
-                started_at: start,
-                finished_at: finish,
-                batch_size: total_weight as usize,
-                dispatch: Some(dispatch),
-                batch_key: Some(head_key),
-                attempts: m.attempt + 1,
-                report: report.clone(),
-                outcome: TaskOutcome::Failed(e.clone()),
-            });
-        }
-        Ok(true)
+        self.book_dispatch(&meta, key, latest_eligible, report, outputs);
+        true
     }
 
-    /// Books a successful batch dispatch on the timeline and fans its
-    /// per-member outputs back out as completions. A member whose
-    /// [`BatchOutput`] is `Err` retires as a `Failed` completion while
-    /// its siblings succeed.
-    fn book_batch(
+    /// Books a dispatch on the timeline and fans its per-member outputs
+    /// back out as completions. A member whose [`BatchOutput`] is `Err`
+    /// retires as a `Failed` completion while its siblings succeed.
+    fn book_dispatch(
         &mut self,
         meta: &[MemberMeta],
-        head_key: BatchKey,
+        key: Option<BatchKey>,
         latest_eligible: Duration,
         report: TaskReport,
         outputs: Vec<BatchOutput>,
@@ -1580,15 +1243,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         self.stats.busy += report.duration * cores.len() as u32;
         self.stats.makespan = self.stats.makespan.max(finish);
         let handles: Vec<TaskHandle> = meta.iter().map(|m| m.handle).collect();
-        self.emit_dispatch(
-            dispatch,
-            start,
-            finish,
-            &cores,
-            &handles,
-            total_weight,
-            Some(head_key),
-        );
+        self.emit_dispatch(dispatch, start, finish, &cores, &handles, total_weight, key);
 
         // Fan the completions back out: each member keeps its own
         // arrival and is charged the shared start/finish.
@@ -1622,7 +1277,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 finished_at: finish,
                 batch_size: total_weight as usize,
                 dispatch: Some(dispatch),
-                batch_key: Some(head_key),
+                batch_key: key,
                 attempts: m.attempt + 1,
                 report: report.clone(),
                 outcome,
@@ -1681,6 +1336,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::device::ApuContext;
     use crate::timing::VecOp;
 
     fn device() -> ApuDevice {
@@ -1931,6 +1587,36 @@ mod tests {
             (attempts, finished, retries, failed),
             "deterministic"
         );
+    }
+
+    #[test]
+    fn retried_unkeyed_task_keeps_its_queue_slot() {
+        use crate::fault::FaultPlan;
+        // One core, five 1 ms jobs, every third task check faults: the
+        // third job is gated at 2 ms and becomes eligible again at
+        // 2.1 ms. At 3 ms both it and the fifth job are eligible; it
+        // kept its slot ahead of the fifth, so it dispatches first.
+        let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(1 << 20).with_cores(1));
+        dev.inject_faults(FaultPlan::new(1).fail_every_kth_task(3));
+        let mut q = DeviceQueue::new(
+            &mut dev,
+            QueueConfig::default().with_retry(RetryPolicy::default()),
+        );
+        let handles: Vec<TaskHandle> = (0..5)
+            .map(|_| {
+                q.submit(TaskSpec::job(Box::new(|dev: &mut ApuDevice| {
+                    let mut r = dev.run_task(charge_kernel(VecOp::AddU16))?;
+                    r.duration = Duration::from_millis(1);
+                    Ok((r, Box::new(()) as Box<dyn Any>))
+                })))
+                .unwrap()
+            })
+            .collect();
+        let done = q.drain().unwrap();
+        let by_handle = |i: usize| done.iter().find(|c| c.handle == handles[i]).unwrap();
+        assert_eq!(by_handle(2).attempts, 2);
+        assert_eq!(by_handle(2).started_at, Duration::from_millis(3));
+        assert!(by_handle(2).started_at < by_handle(4).started_at);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Unified task-submission specification for the serving engine.
 //!
-//! [`TaskSpec`] collapses the historical `submit_*` method family of
-//! [`crate::DeviceQueue`] / [`crate::DeviceCluster`] into one builder:
-//! every submission option — [`Priority`] class, tenant, arrival time,
-//! TTL/deadline, logical weight, [`BatchKey`], shard pinning — composes
-//! freely instead of being locked to the method-name combinations that
-//! happened to exist (`submit_weighted` could not carry a TTL,
-//! `submit_batchable` could not carry a weight, and so on).
+//! [`TaskSpec`] is the one way to submit work to a
+//! [`crate::DeviceQueue`] or [`crate::DeviceCluster`]: every submission
+//! option — [`Priority`] class, tenant, arrival time, TTL/deadline,
+//! logical weight, [`BatchKey`], shard pinning — composes freely on one
+//! builder. Every spec describes a batch member: a plain job is a
+//! runner with one output and no key, so it always dispatches alone.
 //!
 //! ```
 //! use apu_sim::{ApuDevice, DeviceQueue, Priority, QueueConfig, SimConfig, TaskSpec, TenantId};
@@ -153,13 +152,21 @@ impl<'t> TaskSpec<'t> {
     }
 
     /// A spec around a boxed raw [`Job`] (defaults: `Normal` priority,
-    /// arrival now, tenant 0, no deadline, weight 1, unpinned).
+    /// arrival now, tenant 0, no deadline, weight 1, unpinned). The job
+    /// runs as a batch of one with no key.
     pub fn job(job: Job<'t>) -> Self {
-        Self::with_work(Work::Single(job))
+        Self::with_work(Work {
+            key: None,
+            payload: Box::new(()),
+            run: Box::new(move |dev, _| {
+                let (report, value) = job(dev)?;
+                Ok((report, vec![Ok(value)]))
+            }),
+        })
     }
 
     /// A spec around a job with a typed output, boxing it for the
-    /// [`crate::Completion`] (replaces `submit_job`).
+    /// [`crate::Completion`].
     pub fn typed<T, F>(job: F) -> Self
     where
         T: Any,
@@ -172,24 +179,24 @@ impl<'t> TaskSpec<'t> {
     }
 
     /// A spec around a single-core kernel (the
-    /// [`ApuDevice::run_task`] shape) with unit output (replaces
-    /// `submit_kernel`).
+    /// [`ApuDevice::run_task`] shape) with unit output.
     pub fn kernel<F>(kernel: F) -> Self
     where
         F: FnOnce(&mut ApuContext<'_>) -> Result<()> + 't,
     {
-        Self::job(Box::new(move |dev| {
-            let report = dev.run_task(kernel)?;
-            Ok((report, Box::new(()) as Box<dyn Any>))
-        }))
+        Self::typed(move |dev| Ok((dev.run_task(kernel)?, ())))
     }
 
     /// A spec for **continuous batching**: the dispatcher may coalesce
     /// this submission with others sharing its `key` (and [`Priority`]);
     /// `payload` is the member's contribution and `run` executes the
-    /// whole batch (replaces `submit_batchable`).
+    /// whole batch.
     pub fn batch(key: BatchKey, payload: Box<dyn Any>, run: BatchRunner<'t>) -> Self {
-        Self::with_work(Work::Batchable { key, payload, run })
+        Self::with_work(Work {
+            key: Some(key),
+            payload,
+            run,
+        })
     }
 
     /// Sets the [`Priority`] class (default `Normal`).
@@ -251,10 +258,7 @@ impl<'t> TaskSpec<'t> {
 
     /// The batch-compatibility key, for batchable specs.
     pub fn batch_key(&self) -> Option<BatchKey> {
-        match &self.work {
-            Work::Batchable { key, .. } => Some(*key),
-            Work::Single(_) => None,
-        }
+        self.work.key
     }
 }
 

@@ -418,14 +418,15 @@ pub struct QueueStats {
     pub shed_admission: u64,
     /// Re-dispatch attempts made by the bounded retry policy.
     pub retries: u64,
-    /// Multi-query batch jobs dispatched (see `submit_weighted`).
+    /// Multi-query batch jobs dispatched (submissions with a
+    /// [`crate::TaskSpec::weight`] above 1).
     pub batches: u64,
     /// Logical tasks folded into those batch jobs.
     pub batched_tasks: u64,
     /// Device dispatches issued; a coalesced batch counts once.
     pub dispatches: u64,
     /// Logical tasks carried by those dispatches (batch members, plus
-    /// the declared weight of `submit_weighted` jobs).
+    /// the declared weight of weighted jobs).
     pub dispatched_tasks: u64,
     /// Largest batch the continuous-batching dispatcher coalesced.
     pub max_batch_size: u64,

@@ -79,7 +79,8 @@ pub enum TraceEventKind {
         priority: Priority,
         /// Batch-compatibility key for batchable submissions.
         batch_key: Option<u64>,
-        /// Logical tasks folded into the submission (`submit_weighted`).
+        /// Logical tasks folded into the submission
+        /// ([`crate::TaskSpec::weight`]).
         weight: u64,
         /// Absolute start deadline, for TTL submissions.
         deadline: Option<Cycles>,
@@ -109,7 +110,7 @@ pub enum TraceEventKind {
         /// Member handles carried by the dispatch, in submission order.
         members: Vec<u64>,
         /// Logical tasks carried (member count, or the declared weight
-        /// of a `submit_weighted` job). Summed over all `DispatchIssued`
+        /// of a weighted job). Summed over all `DispatchIssued`
         /// events this equals [`QueueStats::dispatched_tasks`].
         tasks: u64,
         /// Batch key, for coalesced dispatches.

@@ -1,7 +1,8 @@
 //! Continuous batching vs one-query-per-dispatch serving at equal
 //! offered load (DESIGN.md §6). Replays the same open-loop RAG query
-//! stream through [`RagServer`] twice — once with the VR-limited
-//! continuous-batching dispatcher, once with `max_batch = 1` — and
+//! stream through a one-device [`rag::ShardedRagServer`] twice — once
+//! with the VR-limited continuous-batching dispatcher, once with
+//! `max_batch = 1` — and
 //! reports sustained QPS, tail latency, and dispatch counts on the
 //! simulated timeline. Batched hits are asserted identical to the
 //! unbatched hits before any number is printed.
@@ -19,9 +20,8 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use apu_sim::{ApuDevice, FaultPlan, RetryPolicy, SimConfig};
-use hbm_sim::{DramSpec, MemorySystem};
-use rag::{CorpusSpec, EmbeddingStore, Hit, ServeConfig, ServeReport};
+use apu_sim::{FaultPlan, RetryPolicy, SimConfig};
+use rag::{CorpusSpec, EmbeddingStore, Hit, ServeConfig, ServeReport, ShardedRagServer};
 
 /// One serving scenario: `queries` arrive `gap` apart on the virtual
 /// timeline and drain through a fresh device. A non-zero `fault_rate`
@@ -33,17 +33,16 @@ fn serve(
     max_batch: usize,
     fault_rate: f64,
 ) -> ServeReport {
-    let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(16 << 20));
-    if fault_rate > 0.0 {
-        dev.inject_faults(FaultPlan::new(42).fail_task_rate(fault_rate));
-    }
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
     let cfg = ServeConfig {
         max_batch,
         retry: (fault_rate > 0.0).then(RetryPolicy::default),
         ..ServeConfig::default()
     };
-    let mut server = rag::RagServer::new(&mut dev, &mut hbm, store, cfg);
+    let sim = SimConfig::default().with_l4_bytes(16 << 20);
+    let mut server = ShardedRagServer::new(store, 1, sim, cfg).expect("valid config");
+    if fault_rate > 0.0 {
+        server.inject_faults(0, FaultPlan::new(42).fail_task_rate(fault_rate));
+    }
     for (i, q) in queries.iter().enumerate() {
         server
             .submit(gap * i as u32, q.clone())

@@ -28,7 +28,6 @@
 //! series. `--smoke` runs a reduced volume, enforces a strict goodput
 //! gap (low > interactive), and writes `BENCH_serve_mutation.json`.
 
-use std::any::Any;
 use std::time::Duration;
 
 use apu_sim::{ExecMode, Priority, QueueConfig, SimConfig};
@@ -98,17 +97,12 @@ fn main() {
             c.snapshot();
         }
         let snap = c.snapshot();
-        let payloads: Vec<Box<dyn Any>> = batch
-            .iter()
-            .cloned()
-            .map(|q| Box::new(q) as Box<dyn Any>)
-            .collect();
-        let (report, _, _) = rag::mutable::run_boxed_snapshot_batch(
+        let (report, _, _) = rag::mutable::snapshot_scan(
             &mut probe_dev,
             &mut probe_hbm,
             &snap.shards[0],
             None,
-            payloads,
+            &batch,
             5,
         )
         .expect("probe snapshot batch");

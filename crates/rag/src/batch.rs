@@ -12,6 +12,7 @@
 //! query as the single-query path.
 
 use std::any::Any;
+use std::time::Duration;
 
 use apu_sim::{ApuDevice, BatchKey, Cycles, Error, TaskReport, Vmr, Vr};
 use gvml::prelude::*;
@@ -60,27 +61,22 @@ impl BatchResult {
 
 /// Batch-compatibility key for continuous batching on an
 /// [`apu_sim::DeviceQueue`]: two retrievals may share a device dispatch
-/// only when they search the same store with the same `k`. The key
-/// hashes the store's identity (its address — fungibility is per
-/// instance) together with `k`, so retrievals against different corpora
-/// never coalesce.
-pub fn retrieval_batch_key(store: &EmbeddingStore, k: usize) -> BatchKey {
-    retrieval_batch_key_for(store, k, IndexMode::Flat)
-}
-
-/// [`retrieval_batch_key`] refined by [`IndexMode`]: a flat scan and an
-/// IVF search against the same store answer different questions (exact
-/// vs approximate) with different kernels, so they must never coalesce
-/// into one dispatch — nor may IVF searches with different `nlist` /
-/// `nprobe`. The mode's parameters are folded into the hash.
-pub fn retrieval_batch_key_for(store: &EmbeddingStore, k: usize, mode: IndexMode) -> BatchKey {
+/// only when they scan the same corpus shard with the same `k` and
+/// [`IndexMode`]. A flat scan and an IVF search answer different
+/// questions (exact vs approximate) with different kernels, so they
+/// never coalesce, and neither do IVF searches with different `nlist` /
+/// `nprobe`. The key hashes stable values only — the shard index, not a
+/// store's address — so the same workload reproduces the same keys, and
+/// byte-identical traces, on every run.
+pub fn retrieval_batch_key_for(shard: usize, k: usize, mode: IndexMode) -> BatchKey {
     let (tag, nlist, nprobe) = match mode {
         IndexMode::Flat => (0u64, 0u64, 0u64),
         IndexMode::Ivf { nlist, nprobe } => (1, nlist as u64, nprobe as u64),
     };
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in [
-        store as *const EmbeddingStore as u64,
+        u64::from_le_bytes(*b"ragshard"),
+        shard as u64,
         k as u64,
         tag,
         nlist,
@@ -92,54 +88,28 @@ pub fn retrieval_batch_key_for(store: &EmbeddingStore, k: usize, mode: IndexMode
     BatchKey::new(h)
 }
 
-/// Type-erased adapter for [`apu_sim::DeviceQueue::submit_batchable`]:
+/// The type-erased glue of every retrieval [`apu_sim::queue::BatchRunner`]:
 /// downcasts each member payload to its query vector (`Vec<i16>`), runs
-/// [`retrieve_batch`] once for the whole dispatch, and re-boxes the
-/// per-query hits (`Vec<Hit>`) in member order.
+/// `scan` once over the valid queries, and re-boxes the per-query hits
+/// (`Vec<Hit>`) in member order. `scan` returns the dispatch's report
+/// and one hit list per query it was given.
 ///
 /// A payload that is not a query vector poisons only its own slot: it
 /// comes back as a per-member `Err` while the valid members still run
 /// (and batch) normally. A dispatch with no valid member at all returns
-/// a zero-cost report and all-`Err` outputs rather than a top-level
-/// failure, so malformed submissions never take down their batch mates.
-///
-/// The returned report's service time is the device execution time
-/// *plus* the off-chip embedding stream — the kernel cannot run ahead
-/// of the stream, and that stream is exactly the cost one batched
-/// dispatch amortizes over its members (an unbatched path re-pays it
-/// per query).
+/// a zero-cost report and all-`Err` outputs without calling `scan`, so
+/// malformed submissions never take down their batch mates.
 ///
 /// # Errors
 ///
-/// Propagates [`retrieve_batch`] failure modes (which fail the whole
-/// dispatch); per-member payload errors are contained as described.
-pub fn run_boxed_batch(
-    dev: &mut ApuDevice,
-    hbm: &mut MemorySystem,
-    store: &EmbeddingStore,
+/// Propagates `scan` failures, which fail the whole dispatch.
+pub fn run_boxed<F>(
     payloads: Vec<Box<dyn Any>>,
-    k: usize,
-) -> Result<(TaskReport, Vec<apu_sim::BatchOutput>)> {
-    run_boxed_batch_at(dev, hbm, store, payloads, k, 0)
-}
-
-/// [`run_boxed_batch`] against one corpus shard: identical semantics,
-/// except every returned hit's chunk id is offset by `chunk_base` so a
-/// shard store with local 0-based ids (see
-/// [`crate::corpus::EmbeddingStore::shards`]) reports **global** chunk
-/// ids. Sharded serving merges per-shard hits directly because of this.
-///
-/// # Errors
-///
-/// Same as [`run_boxed_batch`].
-pub fn run_boxed_batch_at(
-    dev: &mut ApuDevice,
-    hbm: &mut MemorySystem,
-    store: &EmbeddingStore,
-    payloads: Vec<Box<dyn Any>>,
-    k: usize,
-    chunk_base: u32,
-) -> Result<(TaskReport, Vec<apu_sim::BatchOutput>)> {
+    scan: F,
+) -> Result<(TaskReport, Vec<apu_sim::BatchOutput>)>
+where
+    F: FnOnce(&[Vec<i16>]) -> Result<(TaskReport, Vec<Vec<Hit>>)>,
+{
     let n = payloads.len();
     let mut queries: Vec<Vec<i16>> = Vec::with_capacity(n);
     // Slot of each valid member in `queries`, or None for poisoned ones.
@@ -154,41 +124,18 @@ pub fn run_boxed_batch_at(
         }
     }
 
-    if queries.is_empty() {
+    let (report, hits) = if queries.is_empty() {
         let report = TaskReport {
             cycles: Cycles::ZERO,
-            duration: std::time::Duration::ZERO,
+            duration: Duration::ZERO,
             stats: Default::default(),
             cores_used: 0,
         };
-        let outputs = slots
-            .iter()
-            .map(|_| {
-                Err(Error::InvalidArg(
-                    "batch payload is not a query vector".into(),
-                ))
-            })
-            .collect();
-        return Ok((report, outputs));
-    }
-
-    let result = retrieve_batch(dev, hbm, store, &queries, k)?;
-    let mut report = result.report;
-    report.duration += std::time::Duration::from_secs_f64(result.breakdown.load_embedding_ms / 1e3);
-    let mut hits: Vec<Option<Vec<Hit>>> = result
-        .hits
-        .into_iter()
-        .map(|hs| {
-            Some(
-                hs.into_iter()
-                    .map(|h| Hit {
-                        chunk: h.chunk + chunk_base,
-                        score: h.score,
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
+        (report, Vec::new())
+    } else {
+        scan(&queries)?
+    };
+    let mut hits: Vec<Option<Vec<Hit>>> = hits.into_iter().map(Some).collect();
     let outputs = slots
         .into_iter()
         .map(|slot| match slot {

@@ -37,9 +37,7 @@
 //! scanned-cluster set, and hence the charge, legitimately depends on
 //! the data in functional mode.
 
-use std::any::Any;
-
-use apu_sim::{ApuDevice, Cycles, Error, TaskReport, TraceEventKind};
+use apu_sim::{ApuDevice, TaskReport, TraceEventKind};
 use hbm_sim::MemorySystem;
 use phoenix::kmeans::{self, KmeansInput};
 use serde::{Deserialize, Serialize};
@@ -420,81 +418,6 @@ fn proportional_bytes(spec: &CorpusSpec, len: usize) -> u64 {
     }
 }
 
-/// Type-erased IVF counterpart of [`crate::batch::run_boxed_batch_at`]
-/// for [`apu_sim::DeviceQueue::submit_batchable`]: downcasts member
-/// payloads to query vectors, runs [`IvfIndex::search_batch`] once for
-/// the dispatch, offsets hit ids by `chunk_base` (the index's shard
-/// base), and re-boxes per-query hits in member order. Poisoned
-/// payloads fail only their own slot, exactly like the flat adapter.
-/// Also returns the dispatch's [`IvfStats`] for the serving layer's
-/// metrics.
-///
-/// # Errors
-///
-/// Propagates [`IvfIndex::search_batch`] failures (whole dispatch);
-/// per-member payload errors are contained.
-pub fn run_boxed_ivf_batch_at(
-    dev: &mut ApuDevice,
-    hbm: &mut MemorySystem,
-    index: &IvfIndex,
-    payloads: Vec<Box<dyn Any>>,
-    k: usize,
-    nprobe: usize,
-    chunk_base: u32,
-) -> Result<(TaskReport, Vec<apu_sim::BatchOutput>, IvfStats)> {
-    let n = payloads.len();
-    let mut queries: Vec<Vec<i16>> = Vec::with_capacity(n);
-    let mut slots: Vec<Option<usize>> = Vec::with_capacity(n);
-    for p in payloads {
-        match p.downcast::<Vec<i16>>() {
-            Ok(q) => {
-                slots.push(Some(queries.len()));
-                queries.push(*q);
-            }
-            Err(_) => slots.push(None),
-        }
-    }
-
-    if queries.is_empty() {
-        let report = TaskReport {
-            cycles: Cycles::ZERO,
-            duration: std::time::Duration::ZERO,
-            stats: Default::default(),
-            cores_used: 0,
-        };
-        let outputs = slots
-            .iter()
-            .map(|_| {
-                Err(Error::InvalidArg(
-                    "batch payload is not a query vector".into(),
-                ))
-            })
-            .collect();
-        return Ok((report, outputs, IvfStats::default()));
-    }
-
-    let search = index.search_batch(dev, hbm, &queries, k, nprobe)?;
-    let mut report = search.report;
-    report.duration += std::time::Duration::from_secs_f64(search.breakdown.load_embedding_ms / 1e3);
-    let mut hits: Vec<Option<Vec<Hit>>> = search
-        .hits
-        .into_iter()
-        .map(|hs| Some(crate::topk::offset_hits(hs, chunk_base)))
-        .collect();
-    let outputs = slots
-        .into_iter()
-        .map(|slot| match slot {
-            Some(i) => {
-                Ok(Box::new(hits[i].take().expect("each slot is taken once")) as Box<dyn Any>)
-            }
-            None => Err(Error::InvalidArg(
-                "batch payload is not a query vector".into(),
-            )),
-        })
-        .collect();
-    Ok((report, outputs, search.stats))
-}
-
 /// Flat-scan reference (`top_k` of exact dot products) used by the
 /// recall harness and inline tests.
 #[cfg(test)]
@@ -507,7 +430,7 @@ fn flat_reference(store: &EmbeddingStore, query: &[i16], k: usize) -> Vec<Hit> {
 mod tests {
     use super::*;
     use crate::corpus::ClusteredCorpus;
-    use apu_sim::SimConfig;
+    use apu_sim::{Cycles, SimConfig};
     use hbm_sim::{DramSpec, MemorySystem};
 
     fn setup() -> (ApuDevice, MemorySystem) {

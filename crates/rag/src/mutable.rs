@@ -666,10 +666,9 @@ pub fn flat_scan(snapshot: &Snapshot, query: &[i16], k: usize) -> Vec<Hit> {
 
 /// Batch-compatibility key for snapshot scans: two queries may share a
 /// dispatch only when they scan the same shard of the same snapshot
-/// with the same `k` and index mode. Unlike the static path's
-/// pointer-identity key, snapshot ids are stable values, so queries
-/// admitted against the same snapshot batch across drain calls while
-/// queries straddling a mutation never coalesce.
+/// with the same `k` and index mode. Snapshot ids are stable values, so
+/// queries admitted against the same snapshot batch across drain calls
+/// while queries straddling a mutation never coalesce.
 pub fn snapshot_batch_key(shard: usize, snapshot_id: u64, k: usize, mode: IndexMode) -> BatchKey {
     let (tag, nlist, nprobe) = match mode {
         IndexMode::Flat => (0u64, 0u64, 0u64),
@@ -700,52 +699,28 @@ fn zero_report() -> TaskReport {
     }
 }
 
-/// Type-erased snapshot-scan adapter for the device queue, the mutable
-/// counterpart of [`crate::batch::run_boxed_batch_at`]: downcasts
-/// member payloads to query vectors, scans every segment of `shard`
-/// through the batch kernel — the base through `ivf` when given
-/// (deltas always flat) — requesting `k + tombstones_in_segment`
-/// candidates per segment, drops tombstoned hits, and merges to the
-/// per-query top-`k` over the snapshot's live documents. Hits carry
-/// document ids. Poisoned payloads fail only their own slot.
+/// Scans one shard of a snapshot for a batch of queries: every segment
+/// of `shard` goes through the batch kernel — the base through `ivf`
+/// when given (deltas always flat) — requesting `k +
+/// tombstones_in_segment` candidates per segment, tombstoned hits are
+/// dropped, and the parts merge to the per-query top-`k` over the
+/// snapshot's live documents. Hits carry document ids. The report's
+/// service time includes every segment's off-chip stream. Also returns
+/// the IVF counters of the base search.
+///
+/// Serving runs this inside [`crate::batch::run_boxed`].
 ///
 /// # Errors
 ///
-/// Propagates kernel failures (whole dispatch); per-member payload
-/// errors are contained.
-pub fn run_boxed_snapshot_batch(
+/// Propagates kernel failures.
+pub fn snapshot_scan(
     dev: &mut ApuDevice,
     hbm: &mut MemorySystem,
     shard: &ShardSnapshot,
     ivf: Option<(&IvfIndex, usize)>,
-    payloads: Vec<Box<dyn Any>>,
+    queries: &[Vec<i16>],
     k: usize,
-) -> Result<(TaskReport, Vec<apu_sim::BatchOutput>, IvfStats)> {
-    let n = payloads.len();
-    let mut queries: Vec<Vec<i16>> = Vec::with_capacity(n);
-    let mut slots: Vec<Option<usize>> = Vec::with_capacity(n);
-    for p in payloads {
-        match p.downcast::<Vec<i16>>() {
-            Ok(q) => {
-                slots.push(Some(queries.len()));
-                queries.push(*q);
-            }
-            Err(_) => slots.push(None),
-        }
-    }
-
-    if queries.is_empty() {
-        let outputs = slots
-            .iter()
-            .map(|_| {
-                Err(Error::InvalidArg(
-                    "batch payload is not a query vector".into(),
-                ))
-            })
-            .collect();
-        return Ok((zero_report(), outputs, IvfStats::default()));
-    }
-
+) -> Result<(TaskReport, Vec<Vec<Hit>>, IvfStats)> {
     let nq = queries.len();
     let tomb = shard.tombstones.as_slice();
     let mut report = zero_report();
@@ -779,7 +754,7 @@ pub fn run_boxed_snapshot_batch(
         };
         if si == 0 {
             if let Some((index, nprobe)) = ivf {
-                let search = index.search_batch(dev, hbm, &queries, k_eff, nprobe)?;
+                let search = index.search_batch(dev, hbm, queries, k_eff, nprobe)?;
                 report = report.chain(&search.report);
                 stream_ms += search.breakdown.load_embedding_ms;
                 ivf_stats.absorb(&search.stats);
@@ -789,7 +764,7 @@ pub fn run_boxed_snapshot_batch(
                 continue;
             }
         }
-        let scan = retrieve_batch(dev, hbm, &seg.store, &queries, k_eff)?;
+        let scan = retrieve_batch(dev, hbm, &seg.store, queries, k_eff)?;
         report = report.chain(&scan.report);
         stream_ms += scan.breakdown.load_embedding_ms;
         for (q, hs) in scan.hits.into_iter().enumerate() {
@@ -798,20 +773,8 @@ pub fn run_boxed_snapshot_batch(
     }
 
     report.duration += Duration::from_secs_f64(stream_ms / 1e3);
-    let mut hits: Vec<Option<Vec<Hit>>> =
-        parts.into_iter().map(|p| Some(merge_top_k(p, k))).collect();
-    let outputs = slots
-        .into_iter()
-        .map(|slot| match slot {
-            Some(i) => {
-                Ok(Box::new(hits[i].take().expect("each slot is taken once")) as Box<dyn Any>)
-            }
-            None => Err(Error::InvalidArg(
-                "batch payload is not a query vector".into(),
-            )),
-        })
-        .collect();
-    Ok((report, outputs, ivf_stats))
+    let hits = parts.into_iter().map(|p| merge_top_k(p, k)).collect();
+    Ok((report, hits, ivf_stats))
 }
 
 /// The compaction device task: merges the plan on the host (the merge
@@ -1004,11 +967,10 @@ mod tests {
         for q in &queries {
             let mut parts = Vec::new();
             for sh in &snap.shards {
-                let payloads: Vec<Box<dyn Any>> = vec![Box::new(q.clone())];
-                let (_, mut outs, _) =
-                    run_boxed_snapshot_batch(&mut dev, &mut hbm, sh, None, payloads, 7).unwrap();
-                let hits = *outs.remove(0).unwrap().downcast::<Vec<Hit>>().unwrap();
-                parts.push(hits);
+                let (_, mut hits, _) =
+                    snapshot_scan(&mut dev, &mut hbm, sh, None, std::slice::from_ref(q), 7)
+                        .unwrap();
+                parts.push(hits.remove(0));
             }
             let device_hits = merge_top_k(parts, 7);
             assert_eq!(device_hits, flat_scan(&snap, q, 7));
@@ -1032,18 +994,16 @@ mod tests {
         let index = IvfIndex::build(&sh.segments[0].store, 8);
         let (mut dev, mut hbm) = device();
         let q = base.query(0);
-        let payloads: Vec<Box<dyn Any>> = vec![Box::new(q.clone())];
-        let (_, mut outs, stats) = run_boxed_snapshot_batch(
+        let (_, hits, stats) = snapshot_scan(
             &mut dev,
             &mut hbm,
             sh,
             Some((&index, index.nlist())),
-            payloads,
+            std::slice::from_ref(&q),
             9,
         )
         .unwrap();
-        let hits = *outs.remove(0).unwrap().downcast::<Vec<Hit>>().unwrap();
-        assert_eq!(hits, flat_scan(&snap, &q, 9));
+        assert_eq!(hits[0], flat_scan(&snap, &q, 9));
         assert_eq!(stats.searches, 1);
     }
 
@@ -1055,12 +1015,10 @@ mod tests {
         }
         let snap = c.snapshot();
         let (mut dev, mut hbm) = device();
-        let payloads: Vec<Box<dyn Any>> = vec![Box::new(store(3, 7).query(0))];
-        let (_, mut outs, _) =
-            run_boxed_snapshot_batch(&mut dev, &mut hbm, &snap.shards[0], None, payloads, 5)
-                .unwrap();
-        let hits = *outs.remove(0).unwrap().downcast::<Vec<Hit>>().unwrap();
-        assert!(hits.is_empty(), "every document is tombstoned");
+        let queries = [store(3, 7).query(0)];
+        let (_, hits, _) =
+            snapshot_scan(&mut dev, &mut hbm, &snap.shards[0], None, &queries, 5).unwrap();
+        assert!(hits[0].is_empty(), "every document is tombstoned");
         assert!(flat_scan(&snap, &store(3, 7).query(0), 5).is_empty());
     }
 

@@ -1,29 +1,29 @@
 //! RAG serving: an online query front-end over the device command queue.
 //!
-//! [`RagServer`] accepts retrieval queries with arrival timestamps (an
-//! open-loop stream) and submits each one **individually** through an
-//! [`apu_sim::DeviceQueue`] as a batchable task keyed by
-//! [`crate::batch::retrieval_batch_key`]. Batch formation happens in the
-//! queue's continuous-batching dispatcher: at every dispatch opportunity
-//! the scheduler coalesces up to [`ServeConfig::max_batch`] compatible
-//! queries (VR-limited to [`MAX_BATCH`]) whose arrivals fall within
-//! [`ServeConfig::batch_window`] of the head of the line, and runs them
-//! as one [`crate::batch::retrieve_batch`] kernel. The queue path returns
-//! *exactly* the hits the synchronous path returns; what the queue adds
-//! is realistic dispatch: queueing delay, priority, admission control,
-//! batch coalescing, and per-query latency accounting on the virtual
-//! timeline.
+//! [`ShardedRagServer`] accepts retrieval queries with arrival
+//! timestamps (an open-loop stream), splits the corpus into contiguous
+//! shards ([`EmbeddingStore::shards`]), and gives each shard its own
+//! simulated device + off-chip memory + command queue inside a
+//! [`DeviceCluster`]. A single device is simply a one-shard server:
+//! `ShardedRagServer::new(&store, 1, sim, cfg)`.
 //!
-//! [`ShardedRagServer`] scales the same front-end across a
-//! [`DeviceCluster`]: the corpus is split into contiguous shards
-//! ([`EmbeddingStore::shards`]), each shard gets its own simulated
-//! device + off-chip memory + command queue, every query fans out to all
-//! shards, and the per-shard top-k results are merged into the exact
-//! global top-k (shard kernels report global chunk ids, so the merge is
-//! a plain [`top_k`] over the concatenation). A faulted or shedding
-//! shard *degrades* the queries it drops — they still serve from the
-//! healthy shards, flagged via [`QueryCompletion::is_degraded`] —
-//! instead of failing them.
+//! Every query fans out to all shards as one batchable task per shard,
+//! keyed by [`crate::batch::retrieval_batch_key_for`]. Batch formation
+//! happens in the queue's continuous-batching dispatcher: at every
+//! dispatch opportunity the scheduler coalesces up to
+//! [`ServeConfig::max_batch`] compatible queries (VR-limited to
+//! [`MAX_BATCH`]) whose arrivals fall within [`ServeConfig::batch_window`]
+//! of the head of the line, and runs them as one
+//! [`crate::batch::retrieve_batch`] kernel. The per-shard top-k results
+//! are merged into the exact global top-k (shard kernels report global
+//! chunk ids, so the merge is a plain [`top_k`] over the concatenation).
+//! The queue path returns *exactly* the hits the synchronous path
+//! returns; what the queue adds is realistic dispatch: queueing delay,
+//! priority, admission control, batch coalescing, and per-query latency
+//! accounting on the virtual timeline. A faulted or shedding shard
+//! *degrades* the queries it drops — they still serve from the healthy
+//! shards, flagged via [`QueryCompletion::is_degraded`] — instead of
+//! failing them.
 //!
 //! With [`ServeConfig::replicas`] ≥ 2 every corpus shard is held by a
 //! *replica set* of devices (an [`apu_sim::Placement`] over
@@ -45,23 +45,23 @@ use std::time::Duration;
 use apu_sim::queue::percentile;
 use apu_sim::trace::prometheus_text;
 use apu_sim::{
-    chrome_trace_json_grouped, ApuDevice, ChromeTraceSink, Completion, DeviceCluster, DeviceQueue,
-    Error, FaultPlan, Placement, Priority, QueueConfig, QueueStats, RetryPolicy, RoutePolicy,
-    SimConfig, StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
+    chrome_trace_json_grouped, ApuDevice, ChromeTraceSink, Completion, DeviceCluster, Error,
+    FaultPlan, Placement, Priority, QueueConfig, QueueStats, RetryPolicy, RoutePolicy, SimConfig,
+    StageBreakdown, TaskHandle, TaskReport, TaskSpec, TenantId, TraceEvent,
 };
 use hbm_sim::{DramSpec, MemorySystem};
 
-use crate::batch::{retrieval_batch_key_for, run_boxed_batch, run_boxed_batch_at, MAX_BATCH};
+use crate::batch::{retrieval_batch_key_for, retrieve_batch, run_boxed, MAX_BATCH};
 use crate::corpus::{CorpusShard, EmbeddingStore};
-use crate::ivf::{run_boxed_ivf_batch_at, IndexMode, IvfIndex, IvfStats};
+use crate::ivf::{IndexMode, IvfIndex, IvfStats};
 use crate::mutable::{
-    run_boxed_snapshot_batch, run_compaction_task, snapshot_batch_key, CompactionPlan,
-    CompactionTicket, CorpusStats, MutableCorpus, Segment, Snapshot,
+    run_compaction_task, snapshot_batch_key, snapshot_scan, CompactionPlan, CompactionTicket,
+    CorpusStats, MutableCorpus, Segment, Snapshot,
 };
-use crate::topk::top_k;
+use crate::topk::{offset_hits, top_k};
 use crate::{Hit, Result};
 
-/// Configuration of a [`RagServer`].
+/// Configuration of a [`ShardedRagServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Retrieved chunks per query.
@@ -83,26 +83,25 @@ pub struct ServeConfig {
     /// Bounded retry-with-backoff for transiently faulted queries.
     /// `None` disables retries.
     pub retry: Option<RetryPolicy>,
-    /// Tail-latency hedging on a [`ShardedRagServer`]: when set, every
-    /// shard fan-out task gets a speculative **hedge copy** submitted
-    /// this long after the primary's arrival at [`Priority::High`] with
-    /// the *primary's* deadline. Per `(query, shard)` the first
-    /// successful copy wins the merge, so a shard whose primary is stuck
-    /// behind a deep backlog answers from the hedge instead. Served
-    /// queries that used at least one hedge copy are flagged via
-    /// [`QueryCompletion::hedged`]. Hedge copies are extra shard-tasks:
-    /// they inflate the queue counters but never the query count. A
-    /// single-device [`RagServer`] ignores this (one queue — a duplicate
-    /// would race itself). With replication the hedge copy goes to a
-    /// *different* replica than the primary whenever one exists.
+    /// Tail-latency hedging: when set, every shard fan-out task gets a
+    /// speculative **hedge copy** submitted this long after the
+    /// primary's arrival at [`Priority::High`] with the *primary's*
+    /// deadline. Per `(query, shard)` the first successful copy wins the
+    /// merge, so a shard whose primary is stuck behind a deep backlog
+    /// answers from the hedge instead. Served queries that used at least
+    /// one hedge copy are flagged via [`QueryCompletion::hedged`]. Hedge copies are extra shard-tasks:
+    /// they inflate the queue counters but never the query count. With
+    /// replication the hedge copy goes to a *different* replica than the
+    /// primary whenever one exists; without it the copy races the
+    /// primary on the same device.
     pub hedge: Option<Duration>,
-    /// Replicas per corpus shard on a [`ShardedRagServer`]: the server
-    /// builds `shards × replicas` devices, load-balances each query's
-    /// shard reads across its replica set, and transparently fails a
-    /// lost read over to a surviving replica, so any single-replica
-    /// fault still yields the exact, non-degraded top-k. `1` (or `0`,
+    /// Replicas per corpus shard: the server builds `shards × replicas`
+    /// devices, load-balances each query's shard reads across its
+    /// replica set, and transparently fails a lost read over to a
+    /// surviving replica, so any single-replica fault still yields the
+    /// exact, non-degraded top-k. `1` (or `0`,
     /// clamped) disables replication and is byte-identical to the
-    /// unreplicated server. A single-device [`RagServer`] ignores this.
+    /// unreplicated server.
     pub replicas: usize,
     /// How retrievals execute by default: [`IndexMode::Flat`] (the
     /// paper's exact scan) or [`IndexMode::Ivf`] cluster-pruned search.
@@ -142,8 +141,7 @@ impl Default for ServeConfig {
 /// Submission parameters of one query: arrival time plus optional
 /// tenant tag, per-query priority, and per-query TTL (overriding the
 /// server-wide [`ServeConfig`] defaults). Build with [`QuerySpec::new`]
-/// and pass to [`RagServer::submit_query`] /
-/// [`ShardedRagServer::submit_query`].
+/// and pass to [`ShardedRagServer::submit_query`].
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
     arrival: Duration,
@@ -239,10 +237,9 @@ pub struct QueryCompletion {
     /// device`); the components sum exactly to
     /// [`QueryCompletion::latency`].
     pub stages: StageBreakdown,
-    /// How many corpus shards answered this query (always 1 of 1 on a
-    /// single-device [`RagServer`]). A served query with `shards_ok <
-    /// shards_total` is *degraded*: its hits are exact over the healthy
-    /// shards only.
+    /// How many corpus shards answered this query. A served query with
+    /// `shards_ok < shards_total` is *degraded*: its hits are exact over
+    /// the healthy shards only.
     pub shards_ok: usize,
     /// How many corpus shards the query was fanned out to.
     pub shards_total: usize,
@@ -331,12 +328,11 @@ pub struct ServeReport {
     /// [`ServeReport::served`] / [`ServeReport::failed`] for query-level
     /// accounting.
     pub queue: QueueStats,
-    /// Per-queue counters. A single-device [`RagServer`] reports one
-    /// entry (equal to `queue`); an unreplicated [`ShardedRagServer`]
-    /// one entry per corpus shard, in shard order. With replication
-    /// ([`ServeConfig::replicas`] ≥ 2) entry `i` is **device** `i` of
-    /// the `shards × replicas` pool — replica `r` of shard `s` is entry
-    /// `s * replicas + r`.
+    /// Per-queue counters: one entry per corpus shard, in shard order
+    /// (so a one-shard server reports one entry, equal to `queue`). With
+    /// replication ([`ServeConfig::replicas`] ≥ 2) entry `i` is
+    /// **device** `i` of the `shards × replicas` pool — replica `r` of
+    /// shard `s` is entry `s * replicas + r`.
     pub shards: Vec<QueueStats>,
     /// Replication counters (placement shape, failovers, health
     /// transitions).
@@ -350,6 +346,10 @@ pub struct ServeReport {
     /// `apu_corpus_*` series in [`ServeReport::prometheus_text`]). All
     /// zeros on an immutable server.
     pub corpus: CorpusStats,
+    /// Queries refused at submission ([`Error::QueueFull`]) since the
+    /// previous drain. They never reach `completions`, so
+    /// `served() + failed() + rejected` equals the queries submitted.
+    pub rejected: usize,
 }
 
 impl ServeReport {
@@ -389,8 +389,8 @@ impl ServeReport {
     }
 
     /// Served queries answered by only a subset of their corpus shards
-    /// (see [`QueryCompletion::is_degraded`]). Always 0 on a
-    /// single-device [`RagServer`].
+    /// (see [`QueryCompletion::is_degraded`]). Always 0 on a one-shard
+    /// server: its only shard either answers or fails the query.
     pub fn degraded(&self) -> usize {
         self.completions.iter().filter(|c| c.is_degraded()).count()
     }
@@ -413,14 +413,21 @@ impl ServeReport {
         self.queue.stage_totals()
     }
 
-    /// The run's queue counters, stage totals, latency quantiles, and
+    /// The run's queue counters, stage totals, latency quantiles,
+    /// query-level rejections (`apu_queries_rejected_total`), and
     /// replication counters (`apu_replica_*`) in the Prometheus text
     /// exposition format, ready to serve from a `/metrics` endpoint or
     /// dump next to a bench log.
     pub fn prometheus_text(&self) -> String {
         let mut out = prometheus_text(&self.queue, None);
         let r = &self.replica;
-        let series: [(&str, &str, &str, u64); 5] = [
+        let series: [(&str, &str, &str, u64); 6] = [
+            (
+                "apu_queries_rejected_total",
+                "counter",
+                "Queries refused at submission (backlog over the admission bound).",
+                self.rejected as u64,
+            ),
             (
                 "apu_replica_groups",
                 "gauge",
@@ -560,6 +567,22 @@ impl ServeReport {
     }
 }
 
+/// A shard scan's runner answer: the report with the off-chip embedding
+/// stream folded into its service time — the kernel cannot run ahead of
+/// the stream, and that stream is exactly the cost one batched dispatch
+/// amortizes over its members — and every hit lifted to global chunk
+/// ids.
+fn shard_answer(
+    mut report: TaskReport,
+    stream_ms: f64,
+    hits: Vec<Vec<Hit>>,
+    base: u32,
+) -> (TaskReport, Vec<Vec<Hit>>) {
+    report.duration += Duration::from_secs_f64(stream_ms / 1e3);
+    let hits = hits.into_iter().map(|h| offset_hits(h, base)).collect();
+    (report, hits)
+}
+
 struct PendingQuery {
     ticket: QueryTicket,
     spec: QuerySpec,
@@ -568,203 +591,8 @@ struct PendingQuery {
     snapshot: Option<Arc<Snapshot>>,
 }
 
-/// An online RAG retrieval server over one device.
-///
-/// Submit queries with [`RagServer::submit`], then [`RagServer::drain`]
-/// to form batches, run them through the device command queue, and
-/// collect per-query completions.
-pub struct RagServer<'a> {
-    dev: &'a mut ApuDevice,
-    hbm: &'a mut MemorySystem,
-    store: &'a EmbeddingStore,
-    cfg: ServeConfig,
-    pending: Vec<PendingQuery>,
-    next_ticket: u64,
-    /// IVF indexes built lazily per `nlist`, cached across drains.
-    ivf: HashMap<usize, IvfIndex>,
-}
-
-impl<'a> RagServer<'a> {
-    /// Opens a server over a device, its off-chip embedding memory, and
-    /// a corpus.
-    pub fn new(
-        dev: &'a mut ApuDevice,
-        hbm: &'a mut MemorySystem,
-        store: &'a EmbeddingStore,
-        cfg: ServeConfig,
-    ) -> Self {
-        RagServer {
-            dev,
-            hbm,
-            store,
-            cfg,
-            pending: Vec::new(),
-            next_ticket: 0,
-            ivf: HashMap::new(),
-        }
-    }
-
-    /// Queries accepted but not yet drained.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Accepts one query arriving at `arrival` on the virtual timeline,
-    /// with the server-wide tenant/priority/TTL defaults (shorthand for
-    /// [`RagServer::submit_query`] with a bare [`QuerySpec`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog exceeds the queue's
-    /// admission bound, or [`Error::InvalidArg`] for a bad dimension
-    /// (checked later by the batch kernel as well).
-    pub fn submit(&mut self, arrival: Duration, query: Vec<i16>) -> Result<QueryTicket> {
-        self.submit_query(QuerySpec::new(arrival, query))
-    }
-
-    /// Accepts one query with explicit per-query submission parameters
-    /// (tenant tag, priority, TTL).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog exceeds the queue's
-    /// admission bound.
-    pub fn submit_query(&mut self, spec: QuerySpec) -> Result<QueryTicket> {
-        if self.pending.len() >= self.cfg.queue.max_pending {
-            return Err(Error::QueueFull {
-                pending: self.pending.len(),
-                capacity: self.cfg.queue.max_pending,
-            });
-        }
-        let ticket = QueryTicket(self.next_ticket);
-        self.next_ticket += 1;
-        self.pending.push(PendingQuery {
-            ticket,
-            spec,
-            snapshot: None,
-        });
-        Ok(ticket)
-    }
-
-    /// Runs every pending query through the device command queue — one
-    /// batchable submission per query, coalesced by the queue's
-    /// continuous-batching dispatcher — and returns per-query
-    /// completions. Failures are contained: a shed, faulted, or failed
-    /// query retires with an `Err` outcome in its [`QueryCompletion`]
-    /// while the rest of the stream keeps serving.
-    ///
-    /// # Errors
-    ///
-    /// Reserved for queue-level invariant violations; pending queries
-    /// are consumed either way.
-    pub fn drain(&mut self) -> Result<ServeReport> {
-        let mut queries = std::mem::take(&mut self.pending);
-        queries.sort_by_key(|p| (p.spec.arrival, p.ticket.0));
-
-        let store = self.store;
-        let k = self.cfg.k;
-        let cfg_index = self.cfg.index;
-        // Build (once, cached across drains) every IVF index this drain
-        // needs; training happens on the host, outside virtual time.
-        for p in &queries {
-            if let IndexMode::Ivf { nlist, .. } = p.spec.index.unwrap_or(cfg_index) {
-                self.ivf
-                    .entry(nlist)
-                    .or_insert_with(|| IvfIndex::build(store, nlist));
-            }
-        }
-        let ivf_indexes = &self.ivf;
-        let ivf_cell = RefCell::new(IvfStats::default());
-        let hbm = RefCell::new(&mut *self.hbm);
-        let mut queue_cfg = self
-            .cfg
-            .queue
-            .clone()
-            .with_max_batch(self.cfg.max_batch.clamp(1, MAX_BATCH))
-            .with_max_batch_wait(self.cfg.batch_window);
-        if let Some(policy) = self.cfg.retry {
-            queue_cfg = queue_cfg.with_retry(policy);
-        }
-        let mut queue = DeviceQueue::new(&mut *self.dev, queue_cfg);
-        let mut tickets: HashMap<TaskHandle, (QueryTicket, Duration)> = HashMap::new();
-        for p in queries {
-            let hbm = &hbm;
-            let mode = p.spec.index.unwrap_or(cfg_index);
-            let key = retrieval_batch_key_for(store, k, mode);
-            let run: apu_sim::queue::BatchRunner<'_> = match mode {
-                IndexMode::Flat => Box::new(move |dev: &mut ApuDevice, payloads| {
-                    let mut hbm = hbm.borrow_mut();
-                    run_boxed_batch(dev, &mut hbm, store, payloads, k)
-                }),
-                IndexMode::Ivf { nlist, nprobe } => {
-                    let index = &ivf_indexes[&nlist];
-                    let stats = &ivf_cell;
-                    Box::new(move |dev: &mut ApuDevice, payloads| {
-                        let mut hbm = hbm.borrow_mut();
-                        let (report, outputs, ds) =
-                            run_boxed_ivf_batch_at(dev, &mut hbm, index, payloads, k, nprobe, 0)?;
-                        stats.borrow_mut().absorb(&ds);
-                        Ok((report, outputs))
-                    })
-                }
-            };
-            let arrival = p.spec.arrival;
-            let mut task = TaskSpec::batch(key, Box::new(p.spec.query), run)
-                .priority(p.spec.priority.unwrap_or(self.cfg.priority))
-                .at(arrival)
-                .tenant(p.spec.tenant);
-            if let Some(ttl) = p.spec.ttl.or(self.cfg.ttl) {
-                task = task.ttl(ttl);
-            }
-            let handle = queue.submit(task)?;
-            tickets.insert(handle, (p.ticket, arrival));
-        }
-
-        let mut completions = Vec::new();
-        for done in queue.drain()? {
-            let (ticket, arrival) = tickets
-                .remove(&done.handle)
-                .expect("every completion maps to a submitted query");
-            let (started_at, finished_at) = (done.started_at, done.finished_at);
-            let (batch_size, attempts) = (done.batch_size, done.attempts);
-            let tenant = done.tenant;
-            let stages = done.stage_breakdown();
-            let outcome = done.into_output();
-            completions.push(QueryCompletion {
-                ticket,
-                tenant,
-                arrival,
-                started_at,
-                finished_at,
-                batch_size,
-                attempts,
-                stages,
-                shards_ok: usize::from(outcome.is_ok()),
-                shards_total: 1,
-                hedged: false,
-                failovers: 0,
-                outcome,
-            });
-        }
-        let stats = queue.stats().clone();
-        let ivf = *ivf_cell.borrow();
-        Ok(ServeReport {
-            completions,
-            shards: vec![stats.clone()],
-            queue: stats,
-            replica: ReplicaStats {
-                groups: 1,
-                per_shard: 1,
-                ..ReplicaStats::default()
-            },
-            ivf,
-            corpus: CorpusStats::default(),
-        })
-    }
-}
-
-/// An online RAG retrieval server sharded across a simulated multi-device
-/// cluster.
+/// An online RAG retrieval server over a simulated cluster of one or
+/// more devices.
 ///
 /// The corpus is split into contiguous shards
 /// ([`EmbeddingStore::shards`]); each shard owns one simulated
@@ -774,9 +602,8 @@ impl<'a> RagServer<'a> {
 /// the same continuous-batching retrieval kernel over its slice of the
 /// corpus and reports **global** chunk ids — then merges the per-shard
 /// top-k into the exact global top-k with the same tie-break
-/// (score descending, chunk ascending) as the single-device path, so a
-/// fault-free sharded run is element-identical to [`RagServer`] on the
-/// whole corpus.
+/// (score descending, chunk ascending) as a whole-corpus scan, so a
+/// fault-free run is element-identical at every shard count.
 ///
 /// Shard failures are contained, not amplified: a query dropped by one
 /// shard (injected fault, TTL shed, kernel failure) still serves from
@@ -821,6 +648,8 @@ pub struct ShardedRagServer {
     cfg: ServeConfig,
     pending: Vec<PendingQuery>,
     next_ticket: u64,
+    /// Queries refused at submission since the last drain.
+    rejected: usize,
     traces: Option<Vec<Rc<RefCell<ChromeTraceSink>>>>,
     /// Per-`nlist` IVF indexes, one per shard slice (shared across a
     /// shard's replicas), built lazily and cached across drains.
@@ -876,6 +705,7 @@ impl ShardedRagServer {
             cfg,
             pending: Vec::new(),
             next_ticket: 0,
+            rejected: 0,
             traces: None,
             ivf: HashMap::new(),
             mutable: None,
@@ -1139,6 +969,7 @@ impl ShardedRagServer {
     /// fan-out).
     pub fn submit_query(&mut self, spec: QuerySpec) -> Result<QueryTicket> {
         if self.pending.len() >= self.cfg.queue.max_pending {
+            self.rejected += 1;
             return Err(Error::QueueFull {
                 pending: self.pending.len(),
                 capacity: self.cfg.queue.max_pending,
@@ -1345,34 +1176,41 @@ impl ShardedRagServer {
                 let snap = Arc::clone(snap_ref);
                 let stats = &ivf_cell;
                 Box::new(move |dev: &mut ApuDevice, payloads| {
-                    let mut hbm = hbm.borrow_mut();
-                    let (report, outputs, ds) = run_boxed_snapshot_batch(
-                        dev,
-                        &mut hbm,
-                        &snap.shards[s],
-                        ivf_sel,
-                        payloads,
-                        k,
-                    )?;
-                    stats.borrow_mut().absorb(&ds);
-                    Ok((report, outputs))
+                    run_boxed(payloads, |queries| {
+                        let mut hbm = hbm.borrow_mut();
+                        let (report, hits, ds) =
+                            snapshot_scan(dev, &mut hbm, &snap.shards[s], ivf_sel, queries, k)?;
+                        stats.borrow_mut().absorb(&ds);
+                        Ok((report, hits))
+                    })
                 })
             } else {
                 match info.index {
                     IndexMode::Flat => Box::new(move |dev: &mut ApuDevice, payloads| {
-                        let mut hbm = hbm.borrow_mut();
-                        run_boxed_batch_at(dev, &mut hbm, &shard.store, payloads, k, shard.base)
+                        run_boxed(payloads, |queries| {
+                            let mut hbm = hbm.borrow_mut();
+                            let scan = retrieve_batch(dev, &mut hbm, &shard.store, queries, k)?;
+                            let stream_ms = scan.breakdown.load_embedding_ms;
+                            Ok(shard_answer(scan.report, stream_ms, scan.hits, shard.base))
+                        })
                     }),
                     IndexMode::Ivf { nlist, nprobe } => {
                         let index = &ivf_indexes[&nlist][s];
                         let stats = &ivf_cell;
                         Box::new(move |dev: &mut ApuDevice, payloads| {
-                            let mut hbm = hbm.borrow_mut();
-                            let (report, outputs, ds) = run_boxed_ivf_batch_at(
-                                dev, &mut hbm, index, payloads, k, nprobe, shard.base,
-                            )?;
-                            stats.borrow_mut().absorb(&ds);
-                            Ok((report, outputs))
+                            run_boxed(payloads, |queries| {
+                                let mut hbm = hbm.borrow_mut();
+                                let search =
+                                    index.search_batch(dev, &mut hbm, queries, k, nprobe)?;
+                                stats.borrow_mut().absorb(&search.stats);
+                                let stream_ms = search.breakdown.load_embedding_ms;
+                                Ok(shard_answer(
+                                    search.report,
+                                    stream_ms,
+                                    search.hits,
+                                    shard.base,
+                                ))
+                            })
                         })
                     }
                 }
@@ -1381,7 +1219,7 @@ impl ShardedRagServer {
             // same-snapshot queries coalesce, cross-snapshot never do.
             let key = match &info.snapshot {
                 Some(snap) => snapshot_batch_key(s, snap.id, k, info.index),
-                None => retrieval_batch_key_for(&shard.store, k, info.index),
+                None => retrieval_batch_key_for(s, k, info.index),
             };
             let mut task = TaskSpec::batch(key, Box::new(info.query.clone()), run)
                 .priority(prio)
@@ -1709,6 +1547,7 @@ impl ShardedRagServer {
             replica,
             ivf,
             corpus,
+            rejected: std::mem::take(&mut self.rejected),
         })
     }
 }
@@ -1722,27 +1561,28 @@ mod tests {
     use apu_sim::SimConfig;
     use hbm_sim::DramSpec;
 
-    fn setup(chunks: usize) -> (ApuDevice, MemorySystem, EmbeddingStore) {
-        (
-            ApuDevice::new(SimConfig::default().with_l4_bytes(8 << 20)),
-            MemorySystem::new(DramSpec::hbm2e_16gb()),
-            EmbeddingStore::materialized(
-                CorpusSpec {
-                    corpus_bytes: 0,
-                    chunks,
-                },
-                77,
-            ),
+    fn corpus(chunks: usize) -> EmbeddingStore {
+        EmbeddingStore::materialized(
+            CorpusSpec {
+                corpus_bytes: 0,
+                chunks,
+            },
+            77,
         )
+    }
+
+    /// A one-device server over the whole corpus.
+    fn single(store: &EmbeddingStore, cfg: ServeConfig) -> ShardedRagServer {
+        ShardedRagServer::new(store, 1, SimConfig::default().with_l4_bytes(8 << 20), cfg).unwrap()
     }
 
     #[test]
     fn queue_path_matches_synchronous_batch_path() {
-        let (mut dev, mut hbm, store) = setup(20_000);
+        let store = corpus(20_000);
         let queries: Vec<Vec<i16>> = (0..4).map(|i| store.query(i)).collect();
 
         let report = {
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+            let mut server = single(&store, ServeConfig::default());
             for q in &queries {
                 server.submit(Duration::ZERO, q.clone()).unwrap();
             }
@@ -1750,8 +1590,9 @@ mod tests {
         };
 
         // Synchronous reference on a fresh device: same batch, same kernel.
-        let (mut dev2, mut hbm2, _) = setup(1);
-        let sync = retrieve_batch(&mut dev2, &mut hbm2, &store, &queries, 5).unwrap();
+        let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(8 << 20));
+        let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
+        let sync = retrieve_batch(&mut dev, &mut hbm, &store, &queries, 5).unwrap();
         assert_eq!(report.completions.len(), 4);
         for done in &report.completions {
             assert_eq!(
@@ -1770,9 +1611,9 @@ mod tests {
 
     #[test]
     fn stage_breakdown_sums_to_latency_and_exports() {
-        let (mut dev, mut hbm, store) = setup(4096);
+        let store = corpus(4096);
         let report = {
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+            let mut server = single(&store, ServeConfig::default());
             for i in 0..3 {
                 server
                     .submit(Duration::from_micros(i * 5), store.query(i))
@@ -1798,12 +1639,12 @@ mod tests {
 
     #[test]
     fn batch_window_splits_distant_arrivals() {
-        let (mut dev, mut hbm, store) = setup(4096);
+        let store = corpus(4096);
         let cfg = ServeConfig {
             batch_window: Duration::from_millis(1),
             ..ServeConfig::default()
         };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+        let mut server = single(&store, cfg);
         server.submit(Duration::ZERO, store.query(0)).unwrap();
         server
             .submit(Duration::from_micros(100), store.query(1))
@@ -1827,8 +1668,8 @@ mod tests {
 
     #[test]
     fn vr_limit_caps_batch_size() {
-        let (mut dev, mut hbm, store) = setup(4096);
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+        let store = corpus(4096);
+        let mut server = single(&store, ServeConfig::default());
         for i in 0..(MAX_BATCH + 3) {
             server
                 .submit(Duration::ZERO, store.query(i as u64))
@@ -1848,11 +1689,11 @@ mod tests {
 
     #[test]
     fn sharded_serving_matches_the_single_device_top_k() {
-        let (mut dev, mut hbm, store) = setup(12_000);
+        let store = corpus(12_000);
         let queries: Vec<Vec<i16>> = (0..4).map(|i| store.query(i)).collect();
 
         let single = {
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+            let mut server = single(&store, ServeConfig::default());
             for q in &queries {
                 server.submit(Duration::ZERO, q.clone()).unwrap();
             }
@@ -1901,14 +1742,15 @@ mod tests {
             replica: ReplicaStats::default(),
             ivf: IvfStats::default(),
             corpus: CorpusStats::default(),
+            rejected: 0,
         };
         assert_eq!(empty.latency_percentile(0.5), Duration::ZERO);
         assert_eq!(empty.latency_percentile(0.99), Duration::ZERO);
 
         // All-failed report: every dispatch faults, and no retries.
-        let (mut dev, mut hbm, store) = setup(4096);
-        dev.inject_faults(FaultPlan::new(3).fail_every_kth_task(1));
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+        let store = corpus(4096);
+        let mut server = single(&store, ServeConfig::default());
+        server.inject_faults(0, FaultPlan::new(3).fail_every_kth_task(1));
         for i in 0..3 {
             server
                 .submit(Duration::from_micros(i * 10), store.query(i))
@@ -1970,8 +1812,7 @@ mod tests {
         );
         let queries: Vec<Vec<i16>> = (0..4).map(|i| store.query(i)).collect();
         let single = {
-            let (mut dev, mut hbm, _) = setup(1);
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+            let mut server = single(&store, ServeConfig::default());
             for q in &queries {
                 server.submit(Duration::ZERO, q.clone()).unwrap();
             }
@@ -2070,7 +1911,7 @@ mod tests {
 
     #[test]
     fn ivf_serving_reports_probe_metrics_and_exact_scores() {
-        let (mut dev, mut hbm, store) = setup(8_192);
+        let store = corpus(8_192);
         let cfg = ServeConfig {
             k: 10,
             index: IndexMode::Ivf {
@@ -2081,7 +1922,7 @@ mod tests {
         };
         let queries: Vec<Vec<i16>> = (0..4).map(|i| store.query(i)).collect();
         let report = {
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+            let mut server = single(&store, cfg);
             for q in &queries {
                 server.submit(Duration::ZERO, q.clone()).unwrap();
             }
@@ -2110,10 +1951,10 @@ mod tests {
 
     #[test]
     fn sharded_ivf_full_probe_matches_flat_serving() {
-        let (mut dev, mut hbm, store) = setup(6_000);
+        let store = corpus(6_000);
         let queries: Vec<Vec<i16>> = (0..4).map(|i| store.query(i)).collect();
         let flat = {
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+            let mut server = single(&store, ServeConfig::default());
             for q in &queries {
                 server.submit(Duration::ZERO, q.clone()).unwrap();
             }
@@ -2151,8 +1992,8 @@ mod tests {
 
     #[test]
     fn per_query_index_override_never_batches_with_flat() {
-        let (mut dev, mut hbm, store) = setup(4_096);
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+        let store = corpus(4_096);
+        let mut server = single(&store, ServeConfig::default());
         server.submit(Duration::ZERO, store.query(0)).unwrap();
         server
             .submit_query(
@@ -2169,21 +2010,31 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_backlog() {
-        let (mut dev, mut hbm, store) = setup(4096);
+        let store = corpus(4096);
         let cfg = ServeConfig {
             queue: QueueConfig::default().with_max_pending(2),
             ..ServeConfig::default()
         };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+        let mut server = single(&store, cfg);
         server.submit(Duration::ZERO, store.query(0)).unwrap();
         server.submit(Duration::ZERO, store.query(1)).unwrap();
-        assert!(matches!(
-            server.submit(Duration::ZERO, store.query(2)),
-            Err(Error::QueueFull { .. })
-        ));
-        // Draining clears the backlog.
-        server.drain().unwrap();
+        for i in 2..5 {
+            assert!(matches!(
+                server.submit(Duration::ZERO, store.query(i)),
+                Err(Error::QueueFull { .. })
+            ));
+        }
+        // Draining clears the backlog and reports the refusals, in
+        // queries, so the stream's accounting closes.
+        let report = server.drain().unwrap();
+        assert_eq!(report.rejected, 3);
+        assert_eq!(report.served() + report.failed() + report.rejected, 5);
+        assert!(report
+            .prometheus_text()
+            .contains("apu_queries_rejected_total 3\n"));
         assert!(server.submit(Duration::ZERO, store.query(2)).is_ok());
+        // The count is per drain: the next report starts from zero.
+        assert_eq!(server.drain().unwrap().rejected, 0);
     }
 
     #[test]

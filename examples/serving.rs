@@ -1,9 +1,9 @@
-//! Serving: mixed-priority workloads through the device command queue.
+//! Serving: workloads through the device command queue.
 //!
-//! A latency-sensitive RAG retrieval stream and a background Phoenix
-//! histogram share one device. The queue dispatches the high-priority
-//! retrieval first; the continuous-batching dispatcher coalesces
-//! same-key queries arriving within the batch window into one
+//! A background Phoenix histogram runs through a raw [`DeviceQueue`],
+//! then a RAG retrieval stream runs through a one-device
+//! [`rag::ShardedRagServer`]: the continuous-batching dispatcher
+//! coalesces same-key queries arriving within the batch window into one
 //! VR-limited device dispatch, and the example compares the batched
 //! drain against the same stream served one query per dispatch.
 //! The final section overloads the server with injected faults and a
@@ -18,32 +18,31 @@
 //! and `SERVE_METRICS_OUT=/path/to/metrics.txt` to dump the batched
 //! run's queue counters in the Prometheus text format.
 //!
-//! The sharded section replays part of the stream on a four-device
-//! [`rag::ShardedRagServer`] and checks the merged top-k against the
-//! single-device run; `SERVE_SHARD_TRACE_OUT=/path/to/trace.json`
+//! The sharded section replays part of the stream on four devices and
+//! checks the merged top-k against the one-device run; `SERVE_SHARD_TRACE_OUT=/path/to/trace.json`
 //! exports its timeline with one Perfetto track group per shard.
 
 use std::time::Duration;
 
 use apu_sim::{
     ApuDevice, ChromeTraceSink, DeviceQueue, FaultPlan, Priority, QueueConfig, RetryPolicy,
-    SimConfig,
+    SharedSink, SimConfig,
 };
-use hbm_sim::{DramSpec, MemorySystem};
 use phoenix::{histogram, OptConfig};
-use rag::{CorpusSpec, EmbeddingStore, RagServer, ServeConfig, ShardedRagServer};
+use rag::{CorpusSpec, EmbeddingStore, ServeConfig, ShardedRagServer};
 
 fn main() -> Result<(), apu_sim::Error> {
-    let mut dev = ApuDevice::try_new(SimConfig::default().with_l4_bytes(16 << 20))?;
+    let sim = SimConfig::default().with_l4_bytes(16 << 20);
+    let mut dev = ApuDevice::try_new(sim.clone())?;
     // Optional device-timeline tracing: every queue, core, and DMA
     // engine gets its own Perfetto track. The sink shares the device's
-    // clock so cycle stamps render in wall microseconds.
+    // clock so cycle stamps render in wall microseconds, and every
+    // server device below records into the same sink.
     let trace = std::env::var_os("SERVE_TRACE_OUT").map(|path| {
         let (sink, recorder) = ChromeTraceSink::shared(dev.config().clock);
         dev.install_trace_sink(sink);
         (path, recorder)
     });
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
     let store = EmbeddingStore::materialized(
         CorpusSpec {
             corpus_bytes: 0,
@@ -51,6 +50,16 @@ fn main() -> Result<(), apu_sim::Error> {
         },
         42,
     );
+    // A one-device retrieval server; with tracing on, its device records
+    // into the same sink as the analytics device.
+    let single = |cfg: ServeConfig| -> Result<ShardedRagServer, apu_sim::Error> {
+        let mut server = ShardedRagServer::new(&store, 1, sim.clone(), cfg)?;
+        if let Some((_, recorder)) = &trace {
+            let sink = SharedSink::from_rc(recorder.clone());
+            server.device_mut(0).install_trace_sink(sink);
+        }
+        Ok(server)
+    };
 
     // ---- 1. background analytics through the raw command queue ----
     let pixels = histogram::generate(100_000, 7);
@@ -69,7 +78,7 @@ fn main() -> Result<(), apu_sim::Error> {
     // ---- 2. an open-loop query stream through the RAG server ----
     let queries: Vec<Vec<i16>> = (0..48).map(|i| store.query(i)).collect();
     let report = {
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+        let mut server = single(ServeConfig::default())?;
         for (i, q) in queries.iter().enumerate() {
             // Queries arrive 50 µs apart — faster than the device can
             // serve them one at a time, so the continuous-batching
@@ -113,7 +122,7 @@ fn main() -> Result<(), apu_sim::Error> {
             max_batch: 1,
             ..ServeConfig::default()
         };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+        let mut server = single(cfg)?;
         for (i, q) in queries.iter().enumerate() {
             server.submit(Duration::from_micros(50 * i as u64), q.clone())?;
         }
@@ -131,7 +140,6 @@ fn main() -> Result<(), apu_sim::Error> {
     // deterministic task-fault rate is armed, each query carries a 2 ms
     // TTL, and transient faults get one retry with backoff. Shed and
     // faulted queries retire as error completions; the rest keep serving.
-    dev.inject_faults(FaultPlan::new(42).fail_task_rate(0.10));
     let burst: Vec<Vec<i16>> = (0..96).map(|i| store.query(1000 + i)).collect();
     let degraded = {
         let cfg = ServeConfig {
@@ -142,13 +150,13 @@ fn main() -> Result<(), apu_sim::Error> {
             }),
             ..ServeConfig::default()
         };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+        let mut server = single(cfg)?;
+        server.inject_faults(0, FaultPlan::new(42).fail_task_rate(0.10));
         for (i, q) in burst.iter().enumerate() {
             server.submit(Duration::from_micros(5 * i as u64), q.clone())?;
         }
         server.drain()?
     };
-    dev.clear_faults();
     println!(
         "degraded: {} served / {} failed ({} shed past deadline, {} retries), p99 {:.2} ms",
         degraded.served(),
@@ -172,12 +180,7 @@ fn main() -> Result<(), apu_sim::Error> {
     // per-shard top-k results merge into the exact global top-k — the
     // hits match the single-device server bit for bit.
     let sharded_report = {
-        let mut sharded = ShardedRagServer::new(
-            &store,
-            4,
-            SimConfig::default().with_l4_bytes(16 << 20),
-            ServeConfig::default(),
-        )?;
+        let mut sharded = ShardedRagServer::new(&store, 4, sim.clone(), ServeConfig::default())?;
         if std::env::var_os("SERVE_SHARD_TRACE_OUT").is_some() {
             sharded.enable_tracing();
         }

@@ -13,19 +13,24 @@
 //!
 //! plus the headline claim: at equal (saturating) offered load the
 //! batched drain sustains strictly higher simulated QPS than the same
-//! stream served one query per dispatch, with identical hits.
+//! stream served one query per dispatch, with identical hits — and an
+//! accounting property over random mixes of plain jobs and batch
+//! members, which share one dispatch path.
 //!
 //! [`QueueFull`]: apu_sim::Error::QueueFull
 
-use std::collections::HashMap;
+use std::any::Any;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use apu_sim::{
-    ApuDevice, BatchKey, Completion, DeviceQueue, Error, Priority, QueueConfig, SimConfig,
-    TaskSpec, VecOp,
+    AdmissionControl, ApuDevice, BatchKey, Completion, DeviceQueue, Error, FaultPlan, Priority,
+    QueueConfig, RetryPolicy, SimConfig, TaskHandle, TaskSpec, TenantId, TraceEventKind,
+    TraceRecorder, VecOp,
 };
 use hbm_sim::{DramSpec, MemorySystem};
-use rag::{ApuRetriever, CorpusSpec, EmbeddingStore, RagServer, RagVariant, ServeConfig};
+use proptest::prelude::*;
+use rag::{ApuRetriever, CorpusSpec, EmbeddingStore, RagVariant, ServeConfig, ShardedRagServer};
 
 /// Submits a batchable no-output job tagged with `tag` so dispatch
 /// composition is observable from the completion stream.
@@ -186,17 +191,14 @@ fn batched_hits_are_bitwise_identical_to_per_query_retrieval() {
     );
     let queries: Vec<Vec<i16>> = (0..9).map(|i| store.query(300 + i)).collect();
 
-    let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(8 << 20));
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
-    let report = {
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
-        for (i, q) in queries.iter().enumerate() {
-            server
-                .submit(Duration::from_micros(20 * i as u64), q.clone())
-                .unwrap();
-        }
-        server.drain().unwrap()
-    };
+    let sim = SimConfig::default().with_l4_bytes(8 << 20);
+    let mut server = ShardedRagServer::new(&store, 1, sim, ServeConfig::default()).unwrap();
+    for (i, q) in queries.iter().enumerate() {
+        server
+            .submit(Duration::from_micros(20 * i as u64), q.clone())
+            .unwrap();
+    }
+    let report = server.drain().unwrap();
     assert_eq!(report.completions.len(), queries.len());
     assert!(
         report.completions.iter().any(|c| c.batch_size > 1),
@@ -285,13 +287,12 @@ fn batched_drain_beats_unbatched_at_equal_offered_load() {
     // queries than cores × MAX_BATCH can absorb in one wave.
     let queries: Vec<Vec<i16>> = (0..48).map(|i| store.query(i)).collect();
     let serve = |max_batch: usize| {
-        let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(16 << 20));
-        let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
         let cfg = ServeConfig {
             max_batch,
             ..ServeConfig::default()
         };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+        let sim = SimConfig::default().with_l4_bytes(16 << 20);
+        let mut server = ShardedRagServer::new(&store, 1, sim, cfg).unwrap();
         for (i, q) in queries.iter().enumerate() {
             server
                 .submit(Duration::from_micros(50 * i as u64), q.clone())
@@ -324,4 +325,156 @@ fn batched_drain_beats_unbatched_at_equal_offered_load() {
         batched.throughput_qps(),
         unbatched.throughput_qps()
     );
+}
+
+/// One generated submission: `(kind, priority, arrival_us, weight,
+/// ttl_us, job_fails)`. Kind 0 is a plain job (no batch key); kinds 1–3
+/// are batch members keyed by their kind. A zero TTL means none.
+type GenTask = (u8, u8, u64, u64, u64, bool);
+
+/// Submits one generated task, returning its handle, key, and weight on
+/// admission.
+fn submit_generated(
+    q: &mut DeviceQueue<'_, '_>,
+    i: usize,
+    &(kind, prio, at, weight, ttl_us, fails): &GenTask,
+) -> apu_sim::Result<(TaskHandle, Option<BatchKey>, u64)> {
+    let key = (kind > 0).then(|| BatchKey::new(u64::from(kind)));
+    let mut spec = match key {
+        None => TaskSpec::job(Box::new(move |dev: &mut ApuDevice| {
+            let r = dev.run_task(|ctx| {
+                ctx.core_mut().charge(VecOp::AddU16);
+                Ok(())
+            })?;
+            if fails {
+                return Err(Error::TaskFailed("generated job failure".into()));
+            }
+            Ok((r, Box::new(i) as Box<dyn Any>))
+        })),
+        Some(key) => TaskSpec::batch(
+            key,
+            Box::new(i),
+            Box::new(|dev: &mut ApuDevice, payloads: Vec<Box<dyn Any>>| {
+                let report = dev.run_task(|ctx| {
+                    ctx.core_mut().charge(VecOp::MulS16);
+                    Ok(())
+                })?;
+                Ok((report, payloads.into_iter().map(Ok).collect()))
+            }),
+        ),
+    };
+    let priority = [Priority::High, Priority::Normal, Priority::Low][usize::from(prio)];
+    spec = spec
+        .priority(priority)
+        .tenant(TenantId::new(i as u64 % 3))
+        .at(Duration::from_micros(at))
+        .weight(weight);
+    if ttl_us > 0 {
+        spec = spec.ttl(Duration::from_micros(ttl_us));
+    }
+    q.submit(spec).map(|h| (h, key, weight))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Plain jobs and batch members ride one dispatch path, so one
+    /// accounting identity covers both: in weight units, everything
+    /// admitted is completed, failed, expired, or shed — under random
+    /// task faults, retry on or off, TTLs, admission watermarks, and a
+    /// small `max_pending`. Every admitted handle retires exactly once,
+    /// a rejected submission never retires, and an unkeyed task retires
+    /// alone with no batch key and never joins a `BatchFormed`.
+    #[test]
+    fn every_admitted_weight_unit_is_accounted_for(
+        tasks in proptest::collection::vec(
+            (0u8..4, 0u8..3, 0u64..400, 1u64..4, 0u64..600, any::<bool>()),
+            1..24,
+        ),
+        (fault_pct, retry, max_pending, max_batch) in
+            (0u32..60, any::<bool>(), 2usize..12, 1usize..5),
+        (admit_low, admit_span, seed) in (0usize..8, 0usize..6, 0u64..1_000),
+    ) {
+        let mut dev = device();
+        if fault_pct > 0 {
+            dev.inject_faults(FaultPlan::new(seed).fail_task_rate(f64::from(fault_pct) / 100.0));
+        }
+        let (sink, recorder) = TraceRecorder::shared();
+        dev.install_trace_sink(sink);
+        let mut cfg = QueueConfig::default()
+            .with_max_pending(max_pending)
+            .with_max_batch(max_batch)
+            .with_max_batch_wait(Duration::from_micros(50));
+        if retry {
+            cfg = cfg.with_retry(RetryPolicy::default());
+        }
+        if admit_low > 0 {
+            cfg = cfg.with_admission(AdmissionControl::new(admit_low, admit_low + admit_span));
+        }
+        let mut q = DeviceQueue::new(&mut dev, cfg);
+
+        let mut admitted: HashMap<TaskHandle, (Option<BatchKey>, u64)> = HashMap::new();
+        let mut rejected = 0u64;
+        for (i, task) in tasks.iter().enumerate() {
+            match submit_generated(&mut q, i, task) {
+                Ok((h, key, weight)) => {
+                    admitted.insert(h, (key, weight));
+                }
+                Err(Error::QueueFull { .. }) => rejected += 1,
+                Err(e) => panic!("unexpected submission error: {e}"),
+            }
+            // Dispatch now and then, so later submissions find room.
+            if i % 5 == 4 {
+                q.step().expect("step");
+            }
+        }
+        let done = q.drain().expect("drain");
+        let stats = q.stats().clone();
+        drop(q);
+        dev.clear_trace_sink();
+
+        let mut retired = HashSet::new();
+        for c in &done {
+            let Some(&(key, weight)) = admitted.get(&c.handle) else {
+                panic!("handle {} retired but was never admitted", c.handle.id());
+            };
+            prop_assert!(retired.insert(c.handle), "handle {} retired twice", c.handle.id());
+            prop_assert_eq!(c.batch_key, key);
+            if key.is_none() {
+                prop_assert_eq!(c.batch_size, weight as usize, "an unkeyed task rides alone");
+            }
+        }
+        prop_assert_eq!(retired.len(), admitted.len(), "every admitted handle retires");
+        prop_assert_eq!(stats.rejected, rejected);
+        prop_assert_eq!(stats.submitted, admitted.len() as u64);
+
+        let admitted_weight: u64 = admitted.values().map(|&(_, w)| w).sum();
+        prop_assert_eq!(
+            admitted_weight,
+            stats.completed + stats.failed + stats.expired + stats.shed_admission
+        );
+        let ok_weight: u64 = done
+            .iter()
+            .filter(|c| c.is_ok())
+            .map(|c| admitted[&c.handle].1)
+            .sum();
+        prop_assert_eq!(ok_weight, stats.completed);
+        for t in stats.per_tenant.values() {
+            prop_assert_eq!(t.submitted, t.completed + t.failed + t.expired + t.shed);
+        }
+
+        let unkeyed: HashSet<u64> = admitted
+            .iter()
+            .filter(|(_, (key, _))| key.is_none())
+            .map(|(h, _)| h.id())
+            .collect();
+        for e in recorder.borrow().events() {
+            if let TraceEventKind::BatchFormed { members, .. } = &e.kind {
+                prop_assert!(
+                    members.iter().all(|m| !unkeyed.contains(m)),
+                    "an unkeyed task joined a batch"
+                );
+            }
+        }
+    }
 }

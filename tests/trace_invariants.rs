@@ -15,16 +15,22 @@ use apu_sim::{
     ApuDevice, Cycles, DeviceQueue, ExecMode, FaultPlan, Priority, QueueConfig, RetryPolicy,
     SimConfig, TaskSpec, TraceEvent, TraceEventKind, TraceRecorder, VecOp, Vmr,
 };
-use hbm_sim::{DramSpec, MemorySystem};
 use proptest::prelude::*;
-use rag::{CorpusSpec, EmbeddingStore, RagServer, ServeConfig, ServeReport, ShardedRagServer};
+use rag::{CorpusSpec, EmbeddingStore, ServeConfig, ServeReport, ShardedRagServer};
+
+fn sim() -> SimConfig {
+    SimConfig::default()
+        .with_exec_mode(ExecMode::from_env(ExecMode::Functional))
+        .with_l4_bytes(8 << 20)
+}
 
 fn device() -> ApuDevice {
-    ApuDevice::new(
-        SimConfig::default()
-            .with_exec_mode(ExecMode::from_env(ExecMode::Functional))
-            .with_l4_bytes(8 << 20),
-    )
+    ApuDevice::new(sim())
+}
+
+/// A one-device server over the whole corpus.
+fn single(st: &EmbeddingStore, cfg: ServeConfig) -> ShardedRagServer {
+    ShardedRagServer::new(st, 1, sim(), cfg).expect("server construction")
 }
 
 fn store(chunks: usize) -> EmbeddingStore {
@@ -45,27 +51,24 @@ fn serve_traced(
     ttl: Option<Duration>,
 ) -> (ServeReport, Vec<TraceEvent>, u64) {
     let st = store(4_096);
-    let mut dev = device();
+    let cfg = ServeConfig {
+        ttl,
+        retry: (fault_rate > 0.0).then(RetryPolicy::default),
+        ..ServeConfig::default()
+    };
+    let mut server = single(&st, cfg);
     if fault_rate > 0.0 {
-        dev.inject_faults(FaultPlan::new(42).fail_task_rate(fault_rate));
+        server.inject_faults(0, FaultPlan::new(42).fail_task_rate(fault_rate));
     }
     let (sink, recorder) = TraceRecorder::shared();
-    dev.install_trace_sink(sink);
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
-    let report = {
-        let cfg = ServeConfig {
-            ttl,
-            retry: (fault_rate > 0.0).then(RetryPolicy::default),
-            ..ServeConfig::default()
-        };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &st, cfg);
-        for i in 0..queries {
-            server
-                .submit(Duration::from_micros(20 * i as u64), st.query(i as u64))
-                .expect("submission under capacity");
-        }
-        server.drain().expect("drain")
-    };
+    server.device_mut(0).install_trace_sink(sink);
+    for i in 0..queries {
+        server
+            .submit(Duration::from_micros(20 * i as u64), st.query(i as u64))
+            .expect("submission under capacity");
+    }
+    let report = server.drain().expect("drain");
+    let dev = server.device_mut(0);
     let injected = dev.fault_counts().injected_total();
     dev.clear_trace_sink();
     let events = recorder.borrow().events().to_vec();
@@ -304,14 +307,12 @@ fn faulted_runs_emit_exactly_the_injected_fault_events() {
 fn tracing_is_a_pure_observer() {
     let timeline = |traced: bool| {
         let st = store(4_096);
-        let mut dev = device();
+        let mut server = single(&st, ServeConfig::default());
         let recorder = traced.then(|| {
             let (sink, recorder) = TraceRecorder::shared();
-            dev.install_trace_sink(sink);
+            server.device_mut(0).install_trace_sink(sink);
             recorder
         });
-        let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
-        let mut server = RagServer::new(&mut dev, &mut hbm, &st, ServeConfig::default());
         for i in 0..12u64 {
             server
                 .submit(Duration::from_micros(20 * i), st.query(i))
