@@ -75,6 +75,11 @@ impl TaskReport {
 /// A boxed per-core kernel, as submitted to [`ApuDevice::run_parallel`].
 pub type CoreTask<'t> = Box<dyn FnOnce(&mut ApuContext<'_>) -> Result<()> + 't>;
 
+/// Most kernel signatures one device's replay cache holds. A recording
+/// that would exceed it drops the whole cache first (see
+/// [`ApuDevice::run_task_memoized`]).
+const MEMO_CAP: usize = 256;
+
 /// One memoized kernel invocation: the timing report to replay plus the
 /// host-visible payload the kernel returned. Only recorded in timing-only
 /// mode, where both are fully determined by the caller's signature key.
@@ -390,7 +395,7 @@ impl ApuDevice {
         Ok(TaskReport {
             cycles,
             duration: clock.cycles_to_duration(cycles),
-            stats: &core.stats().clone() - &start_stats,
+            stats: core.stats() - &start_stats,
             cores_used: 1,
         })
     }
@@ -420,6 +425,13 @@ impl ApuDevice {
     /// - the core's async DMA engines are idle at task start (and entries
     ///   are only recorded when also idle at task end), so overlap with
     ///   in-flight transfers never folds into a recorded charge.
+    ///
+    /// The cache holds at most `MEMO_CAP` (256) signatures. A recording
+    /// that would exceed the cap first drops every entry, so memory stays
+    /// bounded when signatures keep changing (each sealed delta segment
+    /// and each compacted base of a live corpus has a new epoch). A
+    /// dropped entry re-executes and is recorded again on its next use;
+    /// only the hit/miss counters can tell.
     ///
     /// # Errors
     ///
@@ -460,6 +472,9 @@ impl ApuDevice {
         let out = out.expect("kernel returned Ok without a payload");
         if idle_at_start && dma_idle_at(&self.cores[0]) {
             self.memo_counters.misses += 1;
+            if self.memo.len() >= MEMO_CAP && !self.memo.contains_key(&key) {
+                self.memo.clear();
+            }
             self.memo.insert(
                 key,
                 MemoEntry {
@@ -520,7 +535,7 @@ impl ApuDevice {
             core.set_l4_contention(1.0);
             let delta = core.cycles() - start_cycles;
             max_delta = max_delta.max(delta);
-            stats.merge(&(&core.stats().clone() - &start_stats));
+            stats.merge(&(core.stats() - &start_stats));
         }
         // Join: every participant waits for the slowest.
         for (core_id, start) in starts.iter().enumerate() {
@@ -856,6 +871,43 @@ mod tests {
             reference.core(0).unwrap().cycles()
         );
         assert_eq!(dev.stats_total(), reference.stats_total());
+    }
+
+    #[test]
+    fn memo_stays_within_its_cap() {
+        let mut dev = ApuDevice::new(
+            SimConfig::default()
+                .with_exec_mode(crate::ExecMode::TimingOnly)
+                .with_l4_bytes(1 << 20)
+                .with_fast_forward(true),
+        );
+        // Key k charges k + 1 commands, so every report is distinct.
+        let run = |dev: &mut ApuDevice, key: u64| {
+            dev.run_task_memoized(key, |ctx| {
+                for _ in 0..=key {
+                    ctx.core_mut().charge(crate::timing::VecOp::AddU16);
+                }
+                Ok(key)
+            })
+            .unwrap()
+        };
+        let n = 2 * MEMO_CAP as u64 + 7;
+        for key in 0..n {
+            run(&mut dev, key);
+            assert!(dev.memo.len() <= MEMO_CAP, "{} entries", dev.memo.len());
+        }
+        assert_eq!(dev.memo_counters().misses, n);
+        // The last key was recorded after an eviction and replays its own
+        // charge.
+        let last = n - 1;
+        let (replayed, payload) = run(&mut dev, last);
+        assert_eq!(dev.memo_counters().hits, 1);
+        assert_eq!(payload, last);
+        assert_eq!(replayed.stats.commands, last + 1);
+        // An evicted key executes again and reports the same charge.
+        let (again, _) = run(&mut dev, 0);
+        assert_eq!(dev.memo_counters().hits, 1);
+        assert_eq!(again.stats.commands, 1);
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub use queue::{
     TaskHandle, TaskOutcome,
 };
 pub use spec::{AdmissionControl, SchedPolicy, TaskSpec, TenantId};
-pub use stats::{LatencyReservoir, StageBreakdown, TenantStats, VcuStats};
+pub use stats::{LatencyReservoir, OpCounts, StageBreakdown, TenantStats, VcuStats};
 pub use timing::{DeviceTiming, VecOp};
 pub use trace::{
     chrome_trace_json_grouped, label_escape, ChromeTraceSink, FaultScope, SharedSink, TraceEvent,

@@ -44,8 +44,31 @@ pub struct VcuStats {
     pub pio_elems: u64,
     /// DMA transactions initiated.
     pub dma_transactions: u64,
-    /// Per-mnemonic command counts.
-    pub per_op: BTreeMap<String, u64>,
+    /// Per-operation command counts.
+    pub per_op: OpCounts,
+}
+
+/// Fixed-latency command counts per [`VecOp`], one slot per entry of
+/// [`VecOp::ALL`]. Recording, merging and subtracting are array
+/// arithmetic: counting a command never allocates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OpCounts([u64; VecOp::ALL.len()]);
+
+impl OpCounts {
+    /// Commands of `op` counted so far.
+    pub fn get(&self, op: VecOp) -> u64 {
+        self.0[op as usize]
+    }
+
+    /// The `(op, count)` pairs with a non-zero count, in [`VecOp::ALL`]
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (VecOp, u64)> + '_ {
+        VecOp::ALL
+            .iter()
+            .zip(&self.0)
+            .filter(|&(_, &n)| n > 0)
+            .map(|(&op, &n)| (op, n))
+    }
 }
 
 impl VcuStats {
@@ -55,7 +78,7 @@ impl VcuStats {
         self.micro_ops += cost;
         self.compute_cycles += cost;
         self.issue_cycles += issue;
-        *self.per_op.entry(op.mnemonic().to_string()).or_insert(0) += 1;
+        self.per_op.0[op as usize] += 1;
     }
 
     /// Records a variable-latency operation by class.
@@ -112,8 +135,8 @@ impl VcuStats {
         self.l4_bytes += other.l4_bytes;
         self.pio_elems += other.pio_elems;
         self.dma_transactions += other.dma_transactions;
-        for (k, v) in &other.per_op {
-            *self.per_op.entry(k.clone()).or_insert(0) += v;
+        for (n, m) in self.per_op.0.iter_mut().zip(other.per_op.0) {
+            *n += m;
         }
     }
 }
@@ -124,12 +147,9 @@ impl Sub for &VcuStats {
     /// Delta between two snapshots (`end - start`). Per-op counts below
     /// the start snapshot are clamped to zero.
     fn sub(self, start: &VcuStats) -> VcuStats {
-        let mut per_op = BTreeMap::new();
-        for (k, v) in &self.per_op {
-            let before = start.per_op.get(k).copied().unwrap_or(0);
-            if *v > before {
-                per_op.insert(k.clone(), v - before);
-            }
+        let mut per_op = self.per_op;
+        for (n, before) in per_op.0.iter_mut().zip(start.per_op.0) {
+            *n = n.saturating_sub(before);
         }
         VcuStats {
             commands: self.commands - start.commands,
@@ -644,20 +664,37 @@ mod tests {
         assert_eq!(s.commands, 1);
         assert_eq!(s.micro_ops, 13);
         assert_eq!(s.total_cycles(), 12 + 2 + 100 + 1);
-        assert_eq!(s.per_op["add_u16"], 1);
+        assert_eq!(s.per_op.get(VecOp::AddU16), 1);
+        assert_eq!(s.per_op.get(VecOp::Or16), 0);
+        assert_eq!(
+            s.per_op.iter().collect::<Vec<_>>(),
+            [(VecOp::AddU16, 1)],
+            "only non-zero counts are listed"
+        );
+    }
+
+    #[test]
+    fn op_counts_index_by_position_in_all() {
+        for (i, op) in VecOp::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{} is out of place", op.mnemonic());
+        }
     }
 
     #[test]
     fn delta_subtraction() {
         let mut start = VcuStats::default();
         start.record_op(VecOp::Or16, 8, 2);
+        start.record_op(VecOp::MulS16, 40, 2);
         let mut end = start.clone();
         end.record_op(VecOp::Or16, 8, 2);
         end.record_op(VecOp::AddU16, 12, 2);
+        // A count below its start snapshot clamps at zero.
+        end.per_op.0[VecOp::MulS16 as usize] = 0;
         let d = &end - &start;
         assert_eq!(d.commands, 2);
-        assert_eq!(d.per_op["or_16"], 1);
-        assert_eq!(d.per_op["add_u16"], 1);
+        assert_eq!(d.per_op.get(VecOp::Or16), 1);
+        assert_eq!(d.per_op.get(VecOp::AddU16), 1);
+        assert_eq!(d.per_op.get(VecOp::MulS16), 0);
         assert_eq!(d.compute_cycles, 20);
     }
 
@@ -670,7 +707,7 @@ mod tests {
         b.record_dma_transaction(512);
         a.merge(&b);
         assert_eq!(a.commands, 2);
-        assert_eq!(a.per_op["add_u16"], 2);
+        assert_eq!(a.per_op.get(VecOp::AddU16), 2);
         assert_eq!(a.l4_bytes, 512);
         assert_eq!(a.dma_transactions, 1);
     }

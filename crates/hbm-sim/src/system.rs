@@ -197,22 +197,21 @@ impl MemorySystem {
         if next > t {
             return;
         }
-        let spec = self.map.spec().clone();
+        let spec = self.map.spec();
+        let (t_refi, per_rank) = (spec.t_refi, spec.banks_per_rank());
         // All elapsed refresh intervals fire at once: boundaries
         // increase monotonically, so only the last interval's recovery
         // window survives the per-bank `max`, and closing the rows is
         // idempotent — batching is state- and stats-identical to firing
         // them one by one.
-        let n = (t - next) / spec.t_refi + 1;
-        let last = next + (n - 1) * spec.t_refi;
+        let n = (t - next) / t_refi + 1;
+        let last = next + (n - 1) * t_refi;
         let end = last + spec.t_rfc;
-        let bank_base = key * spec.banks_per_rank();
-        for b in 0..spec.banks_per_rank() {
-            let bank = &mut self.banks[bank_base + b];
+        for bank in &mut self.banks[key * per_rank..(key + 1) * per_rank] {
             bank.ready_at = bank.ready_at.max(end);
             bank.open_row = None;
         }
-        self.ranks[key].next_refresh = last + spec.t_refi;
+        self.ranks[key].next_refresh = last + t_refi;
         self.stats.refreshes += n;
     }
 
@@ -247,9 +246,18 @@ impl MemorySystem {
     /// data-completion cycle.
     pub fn access(&mut self, kind: AccessKind, byte_addr: u64, arrival: u64) -> u64 {
         let d = self.map.decode(byte_addr);
-        let spec = self.map.spec().clone();
-        self.catch_up_refresh(d.channel, d.rank, arrival + spec.t_refi);
-        let flat = d.flat_bank(&spec);
+        // Copy the timing fields out rather than clone the spec: this runs
+        // once per burst.
+        let spec = self.map.spec();
+        let flat = d.flat_bank(spec);
+        let (t_refi, t_ras, t_rp, t_rcd, t_ccd_l) =
+            (spec.t_refi, spec.t_ras, spec.t_rp, spec.t_rcd, spec.t_ccd_l);
+        let lat = match kind {
+            AccessKind::Read => spec.t_cl,
+            AccessKind::Write => spec.t_cwl,
+        };
+        let (burst_cycles, access_bytes) = (spec.burst_cycles(), spec.access_bytes() as u64);
+        self.catch_up_refresh(d.channel, d.rank, arrival + t_refi);
 
         // Open the right row.
         let hit = self.banks[flat].open_row == Some(d.row);
@@ -260,36 +268,32 @@ impl MemorySystem {
         if !hit {
             if self.banks[flat].open_row.is_some() {
                 // PRE: respect tRAS since the ACT that opened the row.
-                let pre_at = cmd_ready.max(self.banks[flat].act_at + spec.t_ras);
-                cmd_ready = pre_at + spec.t_rp;
+                let pre_at = cmd_ready.max(self.banks[flat].act_at + t_ras);
+                cmd_ready = pre_at + t_rp;
             }
             let act_at = self.act_constraint(d.channel, d.rank, cmd_ready);
             self.note_act(d.channel, d.rank, act_at);
             self.banks[flat].open_row = Some(d.row);
             self.banks[flat].act_at = act_at;
-            cmd_ready = act_at + spec.t_rcd;
+            cmd_ready = act_at + t_rcd;
         } else {
             self.stats.row_hits += 1;
         }
 
         // Column command: wait for the data bus slot.
-        let lat = match kind {
-            AccessKind::Read => spec.t_cl,
-            AccessKind::Write => spec.t_cwl,
-        };
         let bus = &mut self.bus_free[d.channel];
         let issue = cmd_ready.max(bus.saturating_sub(lat));
         let data_start = (issue + lat).max(*bus);
-        let data_end = data_start + spec.burst_cycles();
+        let data_end = data_start + burst_cycles;
         *bus = data_end;
         // Same-bank column spacing.
-        self.banks[flat].ready_at = issue + spec.t_ccd_l;
+        self.banks[flat].ready_at = issue + t_ccd_l;
 
         match kind {
             AccessKind::Read => self.stats.reads += 1,
             AccessKind::Write => self.stats.writes += 1,
         }
-        self.stats.bytes += spec.access_bytes() as u64;
+        self.stats.bytes += access_bytes;
         self.horizon = self.horizon.max(data_end);
         data_end
     }

@@ -211,15 +211,11 @@ impl ApuRetriever {
         let chunks_per_pass = l / group;
         let n_chunks = store.spec().chunks;
         let n_passes = n_chunks.div_ceil(chunks_per_pass);
-        let functional = dev.config().exec_mode.is_functional();
         let clock = dev.config().clock;
 
         // Host-side staging of pass data (the simulated-HBM content).
         let make_pass = |pass: usize| -> Vec<u16> {
             let mut out = vec![0u16; l];
-            if !functional {
-                return out;
-            }
             for s in 0..chunks_per_pass {
                 let c = pass * chunks_per_pass + s;
                 if c >= n_chunks {
@@ -270,8 +266,7 @@ impl ApuRetriever {
                     let tq = ctx.core().cycles() - t0;
                     let t1 = ctx.core().cycles();
                     for pass in lo..hi {
-                        let data = make_pass(pass);
-                        inject_l2(ctx, &data)?;
+                        inject_l2(ctx, || make_pass(pass))?;
                         ctx.dma_l2_to_l1(Vmr::new(47))?;
                         ctx.load(VR_PLANE, Vmr::new(47))?;
                         let core = ctx.core_mut();
@@ -343,15 +338,11 @@ impl ApuRetriever {
         let imm = self.variant.imm_broadcast();
         let n_chunks = store.spec().chunks;
         let n_tiles = n_chunks.div_ceil(l);
-        let functional = dev.config().exec_mode.is_functional();
         let clock = dev.config().clock;
 
         // Host staging of one dimension plane (or packed pair plane).
         let make_plane = |tile: usize, dim_pair: usize| -> Vec<u16> {
             let mut out = vec![0u16; l];
-            if !functional {
-                return out;
-            }
             for (lane, slot) in out.iter_mut().enumerate() {
                 let c = tile * l + lane;
                 if c >= n_chunks {
@@ -392,8 +383,7 @@ impl ApuRetriever {
                         ctx.core_mut().cpy_imm_16(VR_ACC, 0)?;
                         let dims = if packed { EMBED_DIM / 2 } else { EMBED_DIM };
                         for d in 0..dims {
-                            let plane = make_plane(tile, d);
-                            inject_l2(ctx, &plane)?;
+                            inject_l2(ctx, || make_plane(tile, d))?;
                             ctx.dma_l2_to_l1(Vmr::new(47))?;
                             ctx.load(VR_PLANE, Vmr::new(47))?;
                             if packed {
@@ -466,11 +456,15 @@ impl ApuRetriever {
 
 /// Injects simulated-HBM data directly into the core's L2 (the paper
 /// charges off-chip time to the HBM model, not the device DMA tables).
-pub(crate) fn inject_l2(ctx: &mut ApuContext<'_>, words: &[u16]) -> Result<()> {
+/// Timing-only kernels read no data, so `stage` — the host-side staging
+/// of the words — runs in functional mode only.
+pub(crate) fn inject_l2(ctx: &mut ApuContext<'_>, stage: impl FnOnce() -> Vec<u16>) -> Result<()> {
     if ctx.core().is_functional() {
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let l2 = ctx.core_mut().l2_mut();
-        l2[..bytes.len()].copy_from_slice(&bytes);
+        let words = stage();
+        let l2 = &mut ctx.core_mut().l2_mut()[..2 * words.len()];
+        for (dst, w) in l2.chunks_exact_mut(2).zip(&words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
     }
     Ok(())
 }

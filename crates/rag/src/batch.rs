@@ -196,9 +196,6 @@ pub fn retrieve_batch(
 
     let make_plane = |tile: usize, dim_pair: usize| -> Vec<u16> {
         let mut out = vec![0u16; l];
-        if !functional {
-            return out;
-        }
         for (lane, slot) in out.iter_mut().enumerate() {
             let c = tile * l + lane;
             if c >= n_chunks {
@@ -262,8 +259,7 @@ pub fn retrieve_batch(
                     ctx.core_mut().cpy_imm_16(Vr::new(VR_ACC0 + q as u8), 0)?;
                 }
                 for d in 0..EMBED_DIM / 2 {
-                    let plane = make_plane(tile, d);
-                    crate::apu_inject_l2(ctx, &plane)?;
+                    crate::apu_inject_l2(ctx, || make_plane(tile, d))?;
                     ctx.dma_l2_to_l1(Vmr::new(47))?;
                     ctx.load(VR_PLANE, Vmr::new(47))?;
                     // shared unpack

@@ -11,7 +11,7 @@ use binmm::{ApuMatmul, BinMatrix};
 use cis_core::MatmulVariant;
 use gvml::prelude::*;
 use hbm_sim::{DramSpec, MemorySystem};
-use rag::{ApuRetriever, CorpusSpec, EmbeddingStore, RagVariant};
+use rag::{retrieve_batch, ApuRetriever, CorpusSpec, EmbeddingStore, RagVariant};
 
 fn devices(l4: usize) -> (ApuDevice, ApuDevice) {
     (
@@ -71,8 +71,12 @@ fn binmm_variants_are_mode_equivalent() {
     }
 }
 
+/// The whole report must agree: cycles, duration, cores and every
+/// `VcuStats` field down to the per-op counts. Timing-only mode skips
+/// staging the data planes, and that must not change a single charge.
 #[test]
 fn rag_retrieval_is_mode_equivalent() {
+    // Two 32K-lane tiles, the second one partial.
     let spec = CorpusSpec {
         corpus_bytes: 0,
         chunks: 40_000,
@@ -90,8 +94,17 @@ fn rag_retrieval_is_mode_equivalent() {
         let (_, bt, rt) = ApuRetriever::new(variant)
             .retrieve(&mut t, &mut hbm_t, &store_t, &q, 5)
             .unwrap();
-        assert_eq!(rf.cycles, rt.cycles, "{} diverges", variant.label());
+        assert_eq!(rf, rt, "{} diverges", variant.label());
         assert!((bf.total_ms() - bt.total_ms()).abs() < 1e-9);
+    }
+    for nq in [1, 5, 12] {
+        let queries: Vec<Vec<i16>> = (0..nq).map(|i| store_f.query(i)).collect();
+        let mut hbm_f = MemorySystem::new(DramSpec::hbm2e_16gb());
+        let mut hbm_t = MemorySystem::new(DramSpec::hbm2e_16gb());
+        let bf = retrieve_batch(&mut f, &mut hbm_f, &store_f, &queries, 5).unwrap();
+        let bt = retrieve_batch(&mut t, &mut hbm_t, &store_t, &queries, 5).unwrap();
+        assert_eq!(bf.report, bt.report, "batch of {nq} diverges");
+        assert_eq!(bf.breakdown, bt.breakdown, "batch of {nq} diverges");
     }
 }
 
