@@ -55,6 +55,16 @@ pub struct SystemStats {
 }
 
 impl SystemStats {
+    /// Adds `k` times the counts of `d`.
+    fn add(&mut self, d: &SystemStats, k: u64) {
+        self.activates += k * d.activates;
+        self.reads += k * d.reads;
+        self.writes += k * d.writes;
+        self.row_hits += k * d.row_hits;
+        self.refreshes += k * d.refreshes;
+        self.bytes += k * d.bytes;
+    }
+
     /// Row-buffer hit rate over all accesses.
     pub fn hit_rate(&self) -> f64 {
         let total = self.reads + self.writes;
@@ -111,10 +121,26 @@ pub struct MemorySystem {
     /// that comparison can flip as state advances, breaking the
     /// time-translation argument below.
     arrival_clips: u64,
+    /// The last long stream walked from a settled start: its key and its
+    /// outcome relative to that start. A later settled stream with the
+    /// same key is replayed from it instead of walked.
+    replay: Option<(StreamKey, StreamSnapshot)>,
+    /// Streams answered from `replay`.
+    replays: u64,
 }
+
+/// What a stream's walk depends on apart from its start: the access kind
+/// and its first and last burst.
+type StreamKey = (AccessKind, u64, u64);
 
 /// Snapshot of the full timing state at a window boundary of one
 /// streamed transfer (all fields the next window's outcome depends on).
+///
+/// It also holds the replay record of a settled stream: every time as
+/// its offset from the settled start `T0`, `stats` as the stream's
+/// command-count delta, and zero for what a settled stream never moves
+/// (`arrival_clips`, `refreshes` and each rank's `next_refresh`).
+#[derive(Debug)]
 struct StreamSnapshot {
     end: u64,
     horizon: u64,
@@ -166,6 +192,8 @@ impl MemorySystem {
             stats: SystemStats::default(),
             horizon: 0,
             arrival_clips: 0,
+            replay: None,
+            replays: 0,
             map: AddressMap::new(spec),
         }
     }
@@ -185,14 +213,20 @@ impl MemorySystem {
         self.horizon
     }
 
+    /// Long transfers answered by replaying the last identical settled
+    /// stream instead of walking it burst by burst (see
+    /// [`MemorySystem::transfer`]).
+    pub fn replays(&self) -> u64 {
+        self.replays
+    }
+
     fn rank_key(&self, channel: usize, rank: usize) -> usize {
         channel * self.map.spec().ranks + rank
     }
 
-    /// Applies any refreshes scheduled before `t` on the given rank,
-    /// blocking its banks and closing their rows.
-    fn catch_up_refresh(&mut self, channel: usize, rank: usize, t: u64) {
-        let key = self.rank_key(channel, rank);
+    /// Applies any refreshes scheduled before `t` on the rank with this
+    /// key, blocking its banks and closing their rows.
+    fn catch_up_refresh(&mut self, key: usize, t: u64) {
         let next = self.ranks[key].next_refresh;
         if next > t {
             return;
@@ -257,7 +291,7 @@ impl MemorySystem {
             AccessKind::Write => spec.t_cwl,
         };
         let (burst_cycles, access_bytes) = (spec.burst_cycles(), spec.access_bytes() as u64);
-        self.catch_up_refresh(d.channel, d.rank, arrival + t_refi);
+        self.catch_up_refresh(self.rank_key(d.channel, d.rank), arrival + t_refi);
 
         // Open the right row.
         let hit = self.banks[flat].open_row == Some(d.row);
@@ -299,11 +333,139 @@ impl MemorySystem {
     }
 
     /// Reads (or writes) a contiguous byte range starting at cycle
-    /// `arrival`; returns the completion cycle of the last burst.
+    /// `arrival`; returns the completion cycle of the last burst, or
+    /// `arrival` itself for an empty range, which touches no state.
+    ///
+    /// A transfer of at least one rotation window that starts settled
+    /// (every bank ready at the same cycle `T0` with a closed row, and no
+    /// activation window, bus or horizon reaching past `T0`) is a pure
+    /// time translation of the last settled stream with the same kind and
+    /// bursts: it is replayed from that stream's record in O(banks)
+    /// instead of walked. Every other transfer is walked, and a walked
+    /// settled stream becomes the record.
     pub fn transfer(&mut self, kind: AccessKind, start_addr: u64, bytes: u64, arrival: u64) -> u64 {
+        if bytes == 0 {
+            return arrival;
+        }
         let g = self.map.spec().access_bytes() as u64;
-        let first = start_addr / g;
-        let last = (start_addr + bytes.max(1) - 1) / g;
+        let key = (kind, start_addr / g, (start_addr + bytes - 1) / g);
+        let settled = if key.2 - key.1 + 1 >= self.rotation_bursts() {
+            self.settle(arrival)
+        } else {
+            None
+        };
+        let Some(t0) = settled else {
+            return self.walk(key, arrival);
+        };
+        if let Some(end) = self.replay(key, t0) {
+            return end;
+        }
+        let before = self.stats;
+        let end = self.walk(key, arrival);
+        self.record(key, t0, end, &before);
+        end
+    }
+
+    /// Applies every rank's refresh due by `arrival + tREFI` and returns
+    /// the settled start `T0` of a long transfer arriving at `arrival`, if
+    /// it has one.
+    ///
+    /// The catch-up is exactly the one a long transfer's walk makes at each
+    /// rank's first burst (one rotation window visits every rank), and no
+    /// burst reads another rank's banks, so applying it up front is state-
+    /// and stats-identical. The start is settled when every bank then has
+    /// the same `ready_at` (`T0`) and a closed row, every rank's `tRRD`
+    /// and `tFAW` windows have closed by `T0`, and no channel bus and not
+    /// the horizon reach past `T0`. Every field a burst reads is then
+    /// either `T0` or loses every `max` it enters, and since the refresh
+    /// puts `T0` after `arrival` no arrival clip fires: the stream's end,
+    /// final state and command counts are `T0` plus a function of its key.
+    fn settle(&mut self, arrival: u64) -> Option<u64> {
+        let spec = self.map.spec();
+        let (t_refi, t_rrd, t_faw) = (spec.t_refi, spec.t_rrd, spec.t_faw);
+        for key in 0..self.ranks.len() {
+            self.catch_up_refresh(key, arrival + t_refi);
+        }
+        let t0 = self.banks[0].ready_at;
+        let settled = self
+            .banks
+            .iter()
+            .all(|b| b.ready_at == t0 && b.open_row.is_none())
+            && self.ranks.iter().all(|r| {
+                r.last_act + t_rrd <= t0 && r.recent_acts.iter().all(|&a| a + t_faw <= t0)
+            })
+            && self.bus_free.iter().all(|&b| b <= t0)
+            && self.horizon <= t0;
+        settled.then_some(t0)
+    }
+
+    /// Writes back the record of the last settled stream, translated to
+    /// start at `t0`, and returns its end; `None` if the record holds
+    /// another stream.
+    fn replay(&mut self, key: StreamKey, t0: u64) -> Option<u64> {
+        let MemorySystem {
+            banks,
+            ranks,
+            bus_free,
+            stats,
+            horizon,
+            replay,
+            replays,
+            ..
+        } = self;
+        let (_, rec) = replay.as_ref().filter(|(k, _)| *k == key)?;
+        for (bank, &(open_row, ready_at, act_at)) in banks.iter_mut().zip(&rec.banks) {
+            bank.open_row = open_row;
+            bank.ready_at = t0 + ready_at;
+            bank.act_at = t0 + act_at;
+        }
+        for (rank, (acts, last_act, _)) in ranks.iter_mut().zip(&rec.ranks) {
+            rank.recent_acts.clear();
+            rank.recent_acts.extend(acts.iter().map(|a| t0 + a));
+            rank.last_act = t0 + last_act;
+        }
+        for (bus, b) in bus_free.iter_mut().zip(&rec.bus_free) {
+            *bus = t0 + b;
+        }
+        stats.add(&rec.stats, 1);
+        *horizon = t0 + rec.horizon;
+        *replays += 1;
+        Some(t0 + rec.end)
+    }
+
+    /// Keeps a just-walked settled stream as the replay record: its end
+    /// and its post-stream state relative to `t0`, and its command counts
+    /// since `before`. The stream activated every bank and rank and drove
+    /// every channel, so each of these times is at least `t0`.
+    fn record(&mut self, key: StreamKey, t0: u64, end: u64, before: &SystemStats) {
+        let rec = StreamSnapshot {
+            end: end - t0,
+            horizon: self.horizon - t0,
+            arrival_clips: 0,
+            refreshes: 0,
+            banks: self
+                .banks
+                .iter()
+                .map(|b| (b.open_row, b.ready_at - t0, b.act_at - t0))
+                .collect(),
+            ranks: self
+                .ranks
+                .iter()
+                .map(|r| {
+                    let acts = r.recent_acts.iter().map(|a| a - t0).collect();
+                    (acts, r.last_act - t0, 0)
+                })
+                .collect(),
+            bus_free: self.bus_free.iter().map(|b| b - t0).collect(),
+            stats: Self::stats_delta(before, &self.stats).expect("command counts only grow"),
+        };
+        self.replay = Some((key, rec));
+    }
+
+    /// Walks the bursts `first..=last` of `key` burst by burst, arriving
+    /// at `arrival`, and returns the completion cycle of the last one.
+    fn walk(&mut self, (kind, first, last): StreamKey, arrival: u64) -> u64 {
+        let g = self.map.spec().access_bytes() as u64;
         // Long contiguous streams are periodic: the address map rotates
         // channel -> bank group -> bank -> column -> rank before the row
         // advances, so after `window` bursts the controller revisits the
@@ -324,7 +486,7 @@ impl MemorySystem {
             end = end.max(self.access(kind, burst * g, arrival));
             burst += 1;
             let done = burst - first;
-            if window == 0 || !done.is_multiple_of(window) || last + 1 - burst < window {
+            if !done.is_multiple_of(window) || last + 1 - burst < window {
                 continue;
             }
             snaps.push(self.snapshot(end));
@@ -491,12 +653,7 @@ impl MemorySystem {
         for (bus, &bd) in self.bus_free.iter_mut().zip(&d.bus_free) {
             *bus += k * bd;
         }
-        self.stats.activates += k * d.stats.activates;
-        self.stats.reads += k * d.stats.reads;
-        self.stats.writes += k * d.stats.writes;
-        self.stats.row_hits += k * d.stats.row_hits;
-        self.stats.refreshes += k * d.stats.refreshes;
-        self.stats.bytes += k * d.stats.bytes;
+        self.stats.add(&d.stats, k);
         self.horizon += k * d.wall;
     }
 
@@ -661,7 +818,8 @@ mod tests {
     fn back_to_back_fast_path_streams_match_the_slow_walk() {
         // Repeated full-corpus streams are the serving hot path; each
         // must replay the exact slow-walk timeline even though the
-        // refresh phase differs from stream to stream.
+        // refresh phase differs from stream to stream. Every stream after
+        // the first is a settled-stream replay.
         let spec = DramSpec::hbm2e_16gb();
         let g = spec.access_bytes() as u64;
         let mut fast = MemorySystem::new(spec.clone());
@@ -678,6 +836,51 @@ mod tests {
             assert_eq!(fast.stats(), slow.stats());
             assert_eq!(fast.horizon(), slow.horizon());
         }
+        assert_eq!(fast.replays(), 2);
+    }
+
+    #[test]
+    fn replay_refuses_a_start_with_any_unsettled_field() {
+        // Each case breaks one settle condition by hand, after a settle,
+        // on two systems with the same history of which only one holds
+        // the record: the stream must walk on both and agree.
+        type Perturb = fn(&mut MemorySystem, u64);
+        const LATE: u64 = 100_000;
+        let cases: [(&str, Perturb); 6] = [
+            ("ready_at", |m, t0| m.banks[5].ready_at = t0 + LATE),
+            ("open row", |m, _| m.banks[5].open_row = Some(0)),
+            ("tRRD", |m, t0| m.ranks[0].last_act = t0 + LATE),
+            ("tFAW", |m, t0| m.ranks[0].recent_acts = vec![t0 + LATE; 4]),
+            ("bus", |m, t0| m.bus_free[2] = t0 + LATE),
+            ("horizon", |m, t0| m.horizon = t0 + LATE),
+        ];
+        for (what, perturb) in cases {
+            let run = |recorded: bool| {
+                let mut mem = MemorySystem::new(DramSpec::hbm2e_16gb());
+                mem.stream_read(0, 1 << 20);
+                if !recorded {
+                    mem.replay = None;
+                }
+                let arrival = mem.horizon();
+                let t0 = mem
+                    .settle(arrival)
+                    .expect("a stream at the horizon is settled");
+                perturb(&mut mem, t0);
+                let end = mem.transfer(AccessKind::Read, 0, 1 << 20, arrival);
+                (end, mem.stats(), mem.horizon(), mem.replays())
+            };
+            assert_eq!(run(true), run(false), "replayed past an unsettled {what}");
+        }
+    }
+
+    #[test]
+    fn zero_byte_transfer_touches_nothing() {
+        let mut mem = MemorySystem::new(DramSpec::hbm2e_16gb());
+        let r = mem.stream_read(0, 0);
+        assert_eq!((r.bytes, r.cycles), (0, 0));
+        assert_eq!(mem.transfer(AccessKind::Write, 4_096, 0, 777), 777);
+        assert_eq!(mem.stats(), SystemStats::default());
+        assert_eq!(mem.horizon(), 0);
     }
 
     #[test]

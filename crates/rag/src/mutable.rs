@@ -812,11 +812,8 @@ pub fn run_compaction_task(
             .charge_cycles(CycleClass::Pio, Cycles::new(per_pio.get() * src_docs));
         Ok(())
     })?;
-    let total_bytes = read_bytes + write_bytes;
-    if total_bytes > 0 {
-        let stream = hbm.stream_read(0, total_bytes);
-        report.duration += Duration::from_secs_f64(stream.millis() / 1e3);
-    }
+    let stream = hbm.stream_read(0, read_bytes + write_bytes);
+    report.duration += Duration::from_secs_f64(stream.millis() / 1e3);
     Ok((report, vec![Ok(Box::new(merged) as Box<dyn Any>)]))
 }
 

@@ -73,7 +73,7 @@ fn the_counter_sees_allocations() {
 fn hbm_stream_allocations_do_not_grow_with_its_length() {
     // One `flat_timing` shard stream (~94 MB) against a short one: the
     // burst walk allocates nothing, so both pay only the fixed cost of
-    // the steady-state window snapshots.
+    // the steady-state window snapshots and the replay record.
     let stream = |bytes: u64| {
         let mut mem = MemorySystem::new(DramSpec::hbm2e_16gb());
         allocations(|| mem.stream_read(0, bytes)).1
@@ -82,6 +82,17 @@ fn hbm_stream_allocations_do_not_grow_with_its_length() {
     let short = stream(8 << 20);
     assert_eq!(long, short, "allocations grew with the stream length");
     assert!(long < 1_000, "{long} allocations for one stream");
+}
+
+#[test]
+fn a_repeated_hbm_stream_allocates_nothing() {
+    // Every dispatch streams its shard again from the horizon: the second
+    // stream replays the first one's record instead of walking.
+    let mut mem = MemorySystem::new(DramSpec::hbm2e_16gb());
+    let first = mem.stream_read(0, 94 << 20);
+    let (again, n) = allocations(|| mem.stream_read(0, 94 << 20));
+    assert_eq!(again.bytes, first.bytes);
+    assert_eq!(n, 0, "{n} allocations for a repeated stream");
 }
 
 #[test]
