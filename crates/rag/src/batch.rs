@@ -14,15 +14,14 @@
 use std::any::Any;
 use std::time::Duration;
 
-use apu_sim::{ApuDevice, BatchKey, Cycles, Error, TaskReport, Vmr, Vr};
+use apu_sim::{ApuDevice, Cycles, Error, TaskReport, Vmr, Vr};
 use gvml::prelude::*;
 use hbm_sim::MemorySystem;
 
 use crate::apu::RetrievalBreakdown;
 use crate::corpus::{EmbeddingStore, EMBED_DIM};
-use crate::ivf::IndexMode;
 use crate::topk::top_k;
-use crate::{Hit, Result};
+use crate::{fnv1a, Hit, Result};
 
 /// Maximum queries per batch: accumulators live in VR 12..24.
 pub const MAX_BATCH: usize = 12;
@@ -57,35 +56,6 @@ impl BatchResult {
     pub fn per_query_ms(&self) -> f64 {
         self.breakdown.total_ms() / self.hits.len().max(1) as f64
     }
-}
-
-/// Batch-compatibility key for continuous batching on an
-/// [`apu_sim::DeviceQueue`]: two retrievals may share a device dispatch
-/// only when they scan the same corpus shard with the same `k` and
-/// [`IndexMode`]. A flat scan and an IVF search answer different
-/// questions (exact vs approximate) with different kernels, so they
-/// never coalesce, and neither do IVF searches with different `nlist` /
-/// `nprobe`. The key hashes stable values only — the shard index, not a
-/// store's address — so the same workload reproduces the same keys, and
-/// byte-identical traces, on every run.
-pub fn retrieval_batch_key_for(shard: usize, k: usize, mode: IndexMode) -> BatchKey {
-    let (tag, nlist, nprobe) = match mode {
-        IndexMode::Flat => (0u64, 0u64, 0u64),
-        IndexMode::Ivf { nlist, nprobe } => (1, nlist as u64, nprobe as u64),
-    };
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [
-        u64::from_le_bytes(*b"ragshard"),
-        shard as u64,
-        k as u64,
-        tag,
-        nlist,
-        nprobe,
-    ] {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    BatchKey::new(h)
 }
 
 /// The type-erased glue of every retrieval [`apu_sim::queue::BatchRunner`]:
@@ -196,12 +166,11 @@ pub fn retrieve_batch(
 
     let make_plane = |tile: usize, dim_pair: usize| -> Vec<u16> {
         let mut out = vec![0u16; l];
-        for (lane, slot) in out.iter_mut().enumerate() {
-            let c = tile * l + lane;
-            if c >= n_chunks {
-                break;
-            }
-            let e = store.embedding(c);
+        // One row per chunk of the tile (the last tile may be short).
+        // The store is sliced once per plane, not once per lane: a view
+        // reaches its shared buffer through one more pointer.
+        let rows = store.raw()[tile * l * EMBED_DIM..].chunks_exact(EMBED_DIM);
+        for (slot, e) in out.iter_mut().zip(rows) {
             let lo = (e[2 * dim_pair] + 6) as u16;
             let hi = (e[2 * dim_pair + 1] + 6) as u16;
             *slot = lo | (hi << 8);
@@ -219,21 +188,14 @@ pub fn retrieve_batch(
     // cycle charge recorded against a different snapshot generation —
     // compaction swaps in a fresh-epoch base, invalidating stale memos
     // even when the chunk count happens to coincide.
-    let key = {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for v in [
-            u64::from_le_bytes(*b"ragbatch"),
-            n_chunks as u64,
-            nq as u64,
-            k as u64,
-            l as u64,
-            store.epoch(),
-        ] {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    };
+    let key = fnv1a(&[
+        u64::from_le_bytes(*b"ragbatch"),
+        n_chunks as u64,
+        nq as u64,
+        k as u64,
+        l as u64,
+        store.epoch(),
+    ]);
     let make_plane = &make_plane;
     let (report, (all_hits, query_cycles, dist_cycles, topk_cycles)) =
         dev.run_task_memoized(key, move |ctx| {

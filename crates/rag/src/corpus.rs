@@ -10,6 +10,8 @@
 //! Embedding values are quantized to −6..=6 so a 384-dimension dot
 //! product (≤ 13,824) fits a 16-bit device lane exactly.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -67,37 +69,47 @@ impl CorpusSpec {
 /// Chunk embeddings derive from the seed; `materialized` stores are
 /// backed by real vectors (functional runs and tests), size-only stores
 /// carry just the spec (timing-only paper-scale runs).
+///
+/// The vectors live in one reference-counted buffer: cloning a store, or
+/// cutting it into [`EmbeddingStore::shards`], makes a view of the same
+/// buffer and copies no embedding data.
 #[derive(Debug, Clone)]
 pub struct EmbeddingStore {
     spec: CorpusSpec,
     seed: u64,
     epoch: u64,
-    data: Option<Vec<i16>>, // chunk-major [chunks × EMBED_DIM]
+    /// Chunk-major `[chunks × EMBED_DIM]` buffer shared by every view cut
+    /// from it; this store's first value sits at element `offset`.
+    data: Option<Arc<Vec<i16>>>,
+    offset: usize,
 }
 
 impl EmbeddingStore {
+    /// A store owning `data` (or size-only when `None`) at epoch 0.
+    /// `Arc::new` takes the vector as it is; `Arc<[i16]>::from` would
+    /// copy it.
+    fn owning(spec: CorpusSpec, seed: u64, data: Option<Vec<i16>>) -> Self {
+        EmbeddingStore {
+            spec,
+            seed,
+            epoch: 0,
+            data: data.map(Arc::new),
+            offset: 0,
+        }
+    }
+
     /// Creates a materialized store (generates `chunks × dim` values).
     pub fn materialized(spec: CorpusSpec, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let data = (0..spec.chunks * EMBED_DIM)
             .map(|_| rng.gen_range(-EMBED_MAX..=EMBED_MAX))
             .collect();
-        EmbeddingStore {
-            spec,
-            seed,
-            epoch: 0,
-            data: Some(data),
-        }
+        Self::owning(spec, seed, Some(data))
     }
 
     /// Creates a size-only store for timing-only runs.
     pub fn size_only(spec: CorpusSpec, seed: u64) -> Self {
-        EmbeddingStore {
-            spec,
-            seed,
-            epoch: 0,
-            data: None,
-        }
+        Self::owning(spec, seed, None)
     }
 
     /// Wraps explicit chunk-major embeddings (`chunks × EMBED_DIM`) as a
@@ -118,12 +130,7 @@ impl EmbeddingStore {
             corpus_bytes,
             chunks: data.len() / EMBED_DIM,
         };
-        EmbeddingStore {
-            spec,
-            seed,
-            epoch: 0,
-            data: Some(data),
-        }
+        Self::owning(spec, seed, Some(data))
     }
 
     /// The corpus spec.
@@ -166,8 +173,7 @@ impl EmbeddingStore {
     ///
     /// Panics if the store is size-only or `chunk` is out of range.
     pub fn embedding(&self, chunk: usize) -> &[i16] {
-        let data = self.data.as_ref().expect("store not materialized");
-        &data[chunk * EMBED_DIM..(chunk + 1) * EMBED_DIM]
+        &self.raw()[chunk * EMBED_DIM..(chunk + 1) * EMBED_DIM]
     }
 
     /// All embeddings, chunk-major.
@@ -176,7 +182,8 @@ impl EmbeddingStore {
     ///
     /// Panics if the store is size-only.
     pub fn raw(&self) -> &[i16] {
-        self.data.as_ref().expect("store not materialized")
+        let data = self.data.as_ref().expect("store not materialized");
+        &data[self.offset..self.offset + self.spec.chunks * EMBED_DIM]
     }
 
     /// A deterministic query embedding.
@@ -195,11 +202,12 @@ impl EmbeddingStore {
     /// Chunks are partitioned in order — shard `i` takes
     /// `chunks/n + (i < chunks%n)` chunks — so shard sizes differ by at
     /// most one and concatenating the shards in order reconstructs the
-    /// corpus exactly. Each shard's store **slices this store's data**
-    /// (never regenerates from the seed, which would change values);
-    /// shards of a size-only store are size-only. Shard chunk ids are
-    /// local (0-based); [`CorpusShard::base`] maps them back to global
-    /// ids. The nominal `corpus_bytes` is split proportionally.
+    /// corpus exactly. Each shard's store is a **view of this store's
+    /// buffer**: it copies nothing and never regenerates from the seed
+    /// (which would change values); shards of a size-only store are
+    /// size-only. Shard chunk ids are local (0-based);
+    /// [`CorpusShard::base`] maps them back to global ids. The nominal
+    /// `corpus_bytes` is split proportionally.
     ///
     /// Degenerate requests return **fewer shards rather than broken
     /// ones**: `n` is clamped to ≥ 1, and when `n > chunks` only
@@ -214,10 +222,6 @@ impl EmbeddingStore {
         let mut base = 0usize;
         for i in 0..n {
             let len = chunks / n + usize::from(i < chunks % n);
-            let data = self
-                .data
-                .as_ref()
-                .map(|d| d[base * EMBED_DIM..(base + len) * EMBED_DIM].to_vec());
             let corpus_bytes = if chunks == 0 {
                 0
             } else {
@@ -231,7 +235,8 @@ impl EmbeddingStore {
                     },
                     seed: self.seed,
                     epoch: self.epoch,
-                    data,
+                    data: self.data.clone(),
+                    offset: self.offset + base * EMBED_DIM,
                 },
                 base: base as u32,
             });
@@ -309,12 +314,7 @@ impl ClusteredCorpus {
             }
         }
         ClusteredCorpus {
-            store: EmbeddingStore {
-                spec,
-                seed,
-                epoch: 0,
-                data: Some(data),
-            },
+            store: EmbeddingStore::owning(spec, seed, Some(data)),
             centers,
             topic_of,
             seed,
@@ -413,8 +413,11 @@ mod tests {
             vec![0, 4, 7]
         );
         assert_eq!(shards[1].range(), 4..7);
-        // Shard data is a slice of the parent, not a regeneration.
+        // Shard data is a view of the parent's buffer, not a copy or a
+        // regeneration.
         for sh in &shards {
+            let start = s.raw()[sh.base as usize * EMBED_DIM..].as_ptr();
+            assert!(std::ptr::eq(sh.store.raw().as_ptr(), start));
             for local in 0..sh.store.spec().chunks {
                 assert_eq!(
                     sh.store.embedding(local),

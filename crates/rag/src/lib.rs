@@ -33,13 +33,13 @@ pub mod serve;
 pub mod topk;
 
 pub use apu::{ApuRetriever, RagVariant, RetrievalBreakdown};
-pub use batch::{retrieval_batch_key_for, retrieve_batch, run_boxed, BatchResult, MAX_BATCH};
+pub use batch::{retrieve_batch, run_boxed, BatchResult, MAX_BATCH};
 pub use corpus::{ClusteredCorpus, CorpusShard, CorpusSpec, EmbeddingStore};
 pub use cpu::{cpu_model_retrieval_ms, cpu_retrieve, CpuRetrievalModel};
 pub use gpu::{GenerationModel, GpuRetrievalModel};
 pub use ivf::{IndexMode, IvfIndex, IvfStats, DEFAULT_NLIST, DEFAULT_NPROBE};
 pub use mutable::{
-    flat_scan, CompactionPlan, CompactionTicket, CorpusStats, MutableCorpus, Segment,
+    flat_scan, CompactionPlan, CompactionTicket, CorpusStats, MutableCorpus, Segment, SegmentIds,
     ShardSnapshot, Snapshot,
 };
 pub use pipeline::{EndToEnd, Platform, RagPipeline};
@@ -47,9 +47,19 @@ pub use serve::{
     QueryCompletion, QuerySpec, QueryTicket, ReplicaStats, ServeConfig, ServeReport,
     ShardedRagServer,
 };
-pub use topk::{drop_tombstoned, merge_top_k, offset_hits, top_k};
+pub use topk::{drop_tombstoned, merge_top_k, top_k};
 
 pub(crate) use apu::{inject_l2 as apu_inject_l2, tile_top_k as apu_tile_top_k};
+
+/// FNV-1a over whole `u64` words: the stable hash behind the batch
+/// kernel's memo key, snapshot batch keys and compaction keys. It hashes
+/// values only, never addresses, so a workload reproduces its keys, and
+/// byte-identical traces, on every run.
+pub(crate) fn fnv1a(words: &[u64]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// Crate-wide result alias (errors are [`apu_sim::Error`]).
 pub type Result<T> = apu_sim::Result<T>;

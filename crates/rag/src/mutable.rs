@@ -38,9 +38,16 @@
 //! through its per-epoch [`IvfIndex`] while deltas are scanned flat
 //! until the next compaction folds them into a retrained index —
 //! the classic main-index-plus-memtable layout.
+//!
+//! This is the serving stack's only corpus representation: every
+//! [`crate::ShardedRagServer`] holds one `MutableCorpus`, and a server
+//! built with [`crate::ShardedRagServer::new`] simply refuses writes.
+//! Base segments are views of the caller's [`EmbeddingStore`] buffer,
+//! so wrapping a store copies no embeddings.
 
 use std::any::Any;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,10 +57,10 @@ use hbm_sim::MemorySystem;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::retrieve_batch;
-use crate::corpus::{CorpusSpec, EmbeddingStore, EMBED_DIM, EMBED_MAX};
+use crate::corpus::{CorpusShard, CorpusSpec, EmbeddingStore, EMBED_DIM, EMBED_MAX};
 use crate::ivf::{IndexMode, IvfIndex, IvfStats};
 use crate::topk::{drop_tombstoned, merge_top_k, top_k};
-use crate::{Hit, Result};
+use crate::{fnv1a, Hit, Result};
 
 /// One immutable run of documents: an [`EmbeddingStore`] with
 /// segment-local 0-based chunk ids plus the map back to document ids.
@@ -63,10 +70,65 @@ use crate::{Hit, Result};
 pub struct Segment {
     /// The segment's embeddings (`store.spec().chunks` documents).
     pub store: EmbeddingStore,
-    /// `ids[local]` = document id of the segment's `local`-th vector.
-    /// Strictly ascending (document ids are allocated monotonically and
-    /// segments seal in order), so tombstone counting can binary-search.
-    pub ids: Vec<u32>,
+    /// `ids.get(local)` = document id of the segment's `local`-th vector.
+    pub ids: SegmentIds,
+}
+
+/// The document ids of a segment's vectors in `local` order, strictly
+/// ascending (document ids are allocated monotonically and segments
+/// seal in order). A build-time base segment covers a contiguous run of
+/// ids and keeps only its bounds, so wrapping a store costs no memory per
+/// document; delta and merged segments list their ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SegmentIds {
+    /// The contiguous ids `start..end`.
+    Run(Range<u32>),
+    /// Strictly ascending ids.
+    List(Vec<u32>),
+}
+
+impl SegmentIds {
+    /// Number of ids.
+    pub fn len(&self) -> usize {
+        match self {
+            SegmentIds::Run(run) => run.len(),
+            SegmentIds::List(ids) => ids.len(),
+        }
+    }
+
+    /// Whether there are no ids.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The document id of the segment's `local`-th vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `local` is out of range.
+    pub fn get(&self, local: usize) -> u32 {
+        match self {
+            SegmentIds::Run(run) => {
+                assert!(local < run.len(), "local id {local} out of range");
+                run.start + local as u32
+            }
+            SegmentIds::List(ids) => ids[local],
+        }
+    }
+
+    /// Whether `doc` is one of the ids: a range check for a run, a
+    /// binary search for a list.
+    pub fn contains(&self, doc: u32) -> bool {
+        match self {
+            SegmentIds::Run(run) => run.contains(&doc),
+            SegmentIds::List(ids) => ids.binary_search(&doc).is_ok(),
+        }
+    }
+
+    /// The ids in `local` order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.len()).map(|local| self.get(local))
+    }
 }
 
 impl Segment {
@@ -204,7 +266,7 @@ impl CompactionPlan {
         let mut ids = Vec::new();
         let mut data = Vec::new();
         for seg in &self.segments {
-            for (local, &doc) in seg.ids.iter().enumerate() {
+            for (local, doc) in seg.ids.iter().enumerate() {
                 if self.tombstones.binary_search(&doc).is_ok() {
                     continue;
                 }
@@ -228,7 +290,7 @@ impl CompactionPlan {
         };
         Segment {
             store: store.with_epoch(self.merged_epoch),
-            ids,
+            ids: SegmentIds::List(ids),
         }
     }
 
@@ -276,25 +338,35 @@ impl ShardState {
         };
         self.deltas.push(Arc::new(Segment {
             store: store.with_epoch(epoch),
-            ids,
+            ids: SegmentIds::List(ids),
         }));
     }
-}
 
-/// Where a document lives and whether it is alive.
-#[derive(Debug, Clone, Copy)]
-struct DocState {
-    shard: u32,
-    alive: bool,
+    /// Whether one of the shard's segments, sealed or open, holds `doc`.
+    /// Ids are sorted, so each lookup is a range check or a binary search.
+    fn holds(&self, doc: u32) -> bool {
+        self.open_ids.binary_search(&doc).is_ok()
+            || std::iter::once(&self.base)
+                .chain(&self.deltas)
+                .any(|seg| seg.ids.contains(doc))
+    }
 }
 
 /// A mutable corpus: per-shard base [`EmbeddingStore`]s wrapped with
 /// append-only delta segments, tombstones, and immutable snapshots.
 /// See the [module docs](self) for the full model.
+///
+/// The corpus keeps no per-document state beyond the id lists of delta
+/// and merged segments (a build-time base keeps only its id run): a base
+/// document's shard comes from the build-time partition, an inserted
+/// document's from the round-robin insert rule, and a document is alive
+/// while one of its shard's segments holds it and no tombstone masks it.
 #[derive(Debug)]
 pub struct MutableCorpus {
+    /// The build-time partition of the base store: views of the
+    /// caller's buffer, in shard order.
+    partition: Vec<CorpusShard>,
     shards: Vec<ShardState>,
-    docs: Vec<DocState>,
     seed: u64,
     materialized: bool,
     bytes_per_chunk: u64,
@@ -318,7 +390,7 @@ impl MutableCorpus {
     /// generation. Base documents keep their global chunk ids
     /// (`0..chunks`); inserted documents get fresh ids beyond them.
     pub fn new(store: &EmbeddingStore, n_shards: usize) -> Self {
-        let parts = store.shards(n_shards);
+        let partition = store.shards(n_shards);
         let spec = store.spec();
         let bytes_per_chunk = if spec.chunks == 0 {
             0
@@ -326,22 +398,15 @@ impl MutableCorpus {
             spec.corpus_bytes / spec.chunks as u64
         };
         let mut next_epoch = 1u64;
-        let mut docs = Vec::with_capacity(spec.chunks);
-        let shards = parts
-            .into_iter()
-            .enumerate()
-            .map(|(s, part)| {
-                let range = part.range();
-                docs.extend(range.clone().map(|_| DocState {
-                    shard: s as u32,
-                    alive: true,
-                }));
+        let shards = partition
+            .iter()
+            .map(|part| {
                 let epoch = next_epoch;
                 next_epoch += 1;
                 ShardState {
                     base: Arc::new(Segment {
-                        store: part.store.with_epoch(epoch),
-                        ids: range.collect(),
+                        store: part.store.clone().with_epoch(epoch),
+                        ids: SegmentIds::Run(part.range()),
                     }),
                     deltas: Vec::new(),
                     open_ids: Vec::new(),
@@ -352,9 +417,9 @@ impl MutableCorpus {
             })
             .collect();
         MutableCorpus {
+            partition,
             shards,
-            live: docs.len() as u64,
-            docs,
+            live: spec.chunks as u64,
             seed: store.seed(),
             materialized: store.is_materialized(),
             bytes_per_chunk,
@@ -373,6 +438,31 @@ impl MutableCorpus {
     /// Shard count.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The build-time partition of the base store
+    /// ([`EmbeddingStore::shards`]), in shard order: views of the buffer
+    /// the corpus was built from. It places base documents and stays
+    /// fixed while compaction replaces base segments.
+    pub fn partition(&self) -> &[CorpusShard] {
+        &self.partition
+    }
+
+    /// Documents the base store held at build time (ids `0..base_docs`).
+    fn base_docs(&self) -> u32 {
+        self.partition.last().map_or(0, |p| p.range().end)
+    }
+
+    /// The shard a document id was placed in, or `None` for an id never
+    /// allocated.
+    fn shard_of(&self, doc: u32) -> Option<usize> {
+        if doc < self.base_docs() {
+            Some(self.partition.partition_point(|p| p.base <= doc) - 1)
+        } else if u64::from(doc) < u64::from(self.base_docs()) + self.inserts {
+            Some(doc as usize % self.shards.len())
+        } else {
+            None
+        }
     }
 
     /// Live (non-tombstoned) documents.
@@ -404,7 +494,7 @@ impl MutableCorpus {
                 "insert values outside the ±{EMBED_MAX} embedding band"
             )));
         }
-        let doc = u32::try_from(self.docs.len())
+        let doc = u32::try_from(u64::from(self.base_docs()) + self.inserts)
             .map_err(|_| Error::InvalidArg("document id space exhausted".into()))?;
         let shard = doc as usize % self.shards.len();
         let st = &mut self.shards[shard];
@@ -412,10 +502,6 @@ impl MutableCorpus {
         if self.materialized {
             st.open_data.extend_from_slice(embedding);
         }
-        self.docs.push(DocState {
-            shard: shard as u32,
-            alive: true,
-        });
         self.live += 1;
         self.inserts += 1;
         self.cached = None;
@@ -425,15 +511,15 @@ impl MutableCorpus {
     /// Deletes a document. Returns `false` (and changes nothing) if the
     /// id is unknown or already deleted.
     pub fn delete(&mut self, doc: u32) -> bool {
-        let Some(state) = self.docs.get_mut(doc as usize) else {
+        let Some(shard) = self.shard_of(doc) else {
             return false;
         };
-        if !state.alive {
+        let st = &mut self.shards[shard];
+        // A compacted-away document is in no segment; a deleted but not
+        // yet compacted one already has its tombstone.
+        if !st.holds(doc) || !st.tombstones.insert(doc) {
             return false;
         }
-        state.alive = false;
-        let shard = state.shard as usize;
-        self.shards[shard].tombstones.insert(doc);
         self.live -= 1;
         self.deletes += 1;
         self.cached = None;
@@ -542,16 +628,13 @@ impl MutableCorpus {
         self.next_plan += 1;
         let merged_epoch = self.next_epoch;
         self.next_epoch += 1;
-        let key = {
-            // FNV-1a over a plan-unique tuple: compactions never batch
-            // with queries or with each other.
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for v in [u64::from_le_bytes(*b"compact\0"), seq, shard as u64] {
-                h ^= v;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            BatchKey::new(h)
-        };
+        // A plan-unique key: compactions never batch with queries or
+        // with each other.
+        let key = BatchKey::new(fnv1a(&[
+            u64::from_le_bytes(*b"compact\0"),
+            seq,
+            shard as u64,
+        ]));
         let mut segments = Vec::with_capacity(1 + st.deltas.len());
         segments.push(Arc::clone(&st.base));
         segments.extend(st.deltas.iter().cloned());
@@ -639,7 +722,7 @@ impl MutableCorpus {
 pub fn flat_scan_shard(shard: &ShardSnapshot, query: &[i16], k: usize) -> Vec<Hit> {
     let mut hits = Vec::new();
     for seg in &shard.segments {
-        for (local, &doc) in seg.ids.iter().enumerate() {
+        for (local, doc) in seg.ids.iter().enumerate() {
             if shard.tombstones.binary_search(&doc).is_ok() {
                 continue;
             }
@@ -674,8 +757,7 @@ pub fn snapshot_batch_key(shard: usize, snapshot_id: u64, k: usize, mode: IndexM
         IndexMode::Flat => (0u64, 0u64, 0u64),
         IndexMode::Ivf { nlist, nprobe } => (1, nlist as u64, nprobe as u64),
     };
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [
+    BatchKey::new(fnv1a(&[
         u64::from_le_bytes(*b"mutsnap\0"),
         shard as u64,
         snapshot_id,
@@ -683,11 +765,7 @@ pub fn snapshot_batch_key(shard: usize, snapshot_id: u64, k: usize, mode: IndexM
         tag,
         nlist,
         nprobe,
-    ] {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    BatchKey::new(h)
+    ]))
 }
 
 fn zero_report() -> TaskReport {
@@ -733,12 +811,10 @@ pub fn snapshot_scan(
         if chunks == 0 || k == 0 {
             continue;
         }
-        // Tombstones in this segment: ids is sorted, tomb is sorted.
-        let tomb_in = seg
-            .ids
-            .iter()
-            .filter(|id| tomb.binary_search(id).is_ok())
-            .count();
+        // Tombstones in this segment: both id sets are sorted and free
+        // of duplicates, so one lookup in `ids` per tombstone counts the
+        // overlap.
+        let tomb_in = tomb.iter().filter(|&&t| seg.ids.contains(t)).count();
         // k + tombstones candidates guarantee ≥ k live survivors (or
         // every live document when the segment is smaller than that).
         let k_eff = (k + tomb_in).min(chunks);
@@ -746,7 +822,7 @@ pub fn snapshot_scan(
             let mapped = hits
                 .into_iter()
                 .map(|h| Hit {
-                    chunk: seg.ids[h.chunk as usize],
+                    chunk: seg.ids.get(h.chunk as usize),
                     score: h.score,
                 })
                 .collect();
@@ -876,7 +952,8 @@ mod tests {
         assert!(c.update(1, &vec_of(1)).is_err(), "update of deleted doc");
         let fresh = c.update(0, &vec_of(2)).unwrap();
         assert_eq!(fresh, 4);
-        assert!(!c.docs[0].alive);
+        assert!(!c.delete(0), "the updated document is dead");
+        assert!(!c.delete(5), "an id never allocated is unknown");
         assert_eq!(c.live_docs(), 3);
         assert!(c.insert(&vec![7i16; EMBED_DIM]).is_err(), "out of band");
         assert!(c.insert(&[0i16; 3]).is_err(), "wrong dimension");
@@ -907,12 +984,15 @@ mod tests {
         let merged = plans[0].merge();
         // Merged = base docs 0..6 minus {0, a} (doc 1's delete came
         // after the plan, so it stays physically present).
-        assert_eq!(merged.ids, vec![1, 2, 3, 4, 5]);
+        assert_eq!(merged.ids, SegmentIds::List(vec![1, 2, 3, 4, 5]));
         assert_eq!(merged.store.spec().chunks, 5);
-        for (local, &doc) in merged.ids.iter().enumerate() {
+        for (local, doc) in merged.ids.iter().enumerate() {
             assert_eq!(merged.store.embedding(local), base.embedding(doc as usize));
         }
         c.apply_compaction(&plans[0], merged);
+        // Doc 0 was merged away with its tombstone: no segment holds it,
+        // so it stays dead.
+        assert!(!c.delete(0), "a compacted-away document is dead");
         let snap = c.snapshot();
         // Live = 5 base survivors − late delete of doc 1 + late insert.
         assert_eq!(snap.live_docs(), 5);
@@ -920,10 +1000,7 @@ mod tests {
         assert_eq!(st.compactions, 1);
         assert_eq!(st.tombstones, 1, "only the post-plan tombstone remains");
         // The post-plan delta segment is still there.
-        assert!(snap.shards[0]
-            .segments
-            .iter()
-            .any(|s| s.ids.contains(&late)));
+        assert!(snap.shards[0].segments.iter().any(|s| s.ids.contains(late)));
         // Nothing to compact right after compacting + sealing? The
         // post-plan delta still exists, so a new plan is allowed.
         assert!(c.request_compaction(0, Duration::ZERO).unwrap().is_some());
@@ -1063,6 +1140,28 @@ mod tests {
         assert_eq!(merged.len(), expect);
         c.apply_compaction(&plans[0], merged);
         assert_eq!(c.stats().compactions, 1);
+    }
+
+    #[test]
+    fn batch_and_compaction_keys_are_stable_values() {
+        // Keys hash values only, so they repeat run to run and traces
+        // carry them; pinned so a change to the hash cannot slip by.
+        assert_eq!(
+            snapshot_batch_key(0, 1, 5, IndexMode::Flat).get(),
+            0x4685_144f_ceeb_7fae
+        );
+        assert_eq!(
+            snapshot_batch_key(3, 42, 10, IndexMode::ivf_default()).get(),
+            0x0ee9_9351_ac75_a5e6
+        );
+        let dry = CorpusSpec {
+            corpus_bytes: 640,
+            chunks: 10,
+        };
+        let mut c = MutableCorpus::new(&EmbeddingStore::size_only(dry, 1), 2);
+        c.delete(3);
+        let ticket = c.request_compaction(0, Duration::ZERO).unwrap().unwrap();
+        assert_eq!(ticket.key.get(), 0x3243_4f9f_c9d2_49eb);
     }
 
     #[test]

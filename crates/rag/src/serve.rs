@@ -1,22 +1,27 @@
 //! RAG serving: an online query front-end over the device command queue.
 //!
 //! [`ShardedRagServer`] accepts retrieval queries with arrival
-//! timestamps (an open-loop stream), splits the corpus into contiguous
-//! shards ([`EmbeddingStore::shards`]), and gives each shard its own
+//! timestamps (an open-loop stream), holds the corpus as one
+//! [`MutableCorpus`] split into contiguous shards
+//! ([`EmbeddingStore::shards`]), and gives each shard its own
 //! simulated device + off-chip memory + command queue inside a
 //! [`DeviceCluster`]. A single device is simply a one-shard server:
 //! `ShardedRagServer::new(&store, 1, sim, cfg)`.
 //!
-//! Every query fans out to all shards as one batchable task per shard,
-//! keyed by [`crate::batch::retrieval_batch_key_for`]. Batch formation
+//! Every query pins a corpus [`Snapshot`] at admission and fans out to
+//! all shards as one batchable [`snapshot_scan`] task per shard, keyed
+//! by [`snapshot_batch_key`]. A server built with
+//! [`ShardedRagServer::new`] refuses writes, so its queries all share
+//! the first snapshot and scan exactly the build-time shards. Batch formation
 //! happens in the queue's continuous-batching dispatcher: at every
 //! dispatch opportunity the scheduler coalesces up to
 //! [`ServeConfig::max_batch`] compatible queries (VR-limited to
 //! [`MAX_BATCH`]) whose arrivals fall within [`ServeConfig::batch_window`]
 //! of the head of the line, and runs them as one
-//! [`crate::batch::retrieve_batch`] kernel. The per-shard top-k results
-//! are merged into the exact global top-k (shard kernels report global
-//! chunk ids, so the merge is a plain [`top_k`] over the concatenation).
+//! [`crate::batch::retrieve_batch`] kernel per snapshot segment. The
+//! per-shard top-k results are merged into the exact global top-k (shard
+//! scans report global document ids, so the merge is a plain [`top_k`]
+//! over the concatenation).
 //! The queue path returns *exactly* the hits the synchronous path
 //! returns; what the queue adds is realistic dispatch: queueing delay,
 //! priority, admission control, batch coalescing, and per-query latency
@@ -37,7 +42,7 @@
 //! only when a **whole** replica set is down.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,18 +52,18 @@ use apu_sim::trace::prometheus_text;
 use apu_sim::{
     chrome_trace_json_grouped, ApuDevice, ChromeTraceSink, Completion, DeviceCluster, Error,
     FaultPlan, Placement, Priority, QueueConfig, QueueStats, RetryPolicy, RoutePolicy, SimConfig,
-    StageBreakdown, TaskHandle, TaskReport, TaskSpec, TenantId, TraceEvent,
+    StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
 };
 use hbm_sim::{DramSpec, MemorySystem};
 
-use crate::batch::{retrieval_batch_key_for, retrieve_batch, run_boxed, MAX_BATCH};
+use crate::batch::{run_boxed, MAX_BATCH};
 use crate::corpus::{CorpusShard, EmbeddingStore};
 use crate::ivf::{IndexMode, IvfIndex, IvfStats};
 use crate::mutable::{
     run_compaction_task, snapshot_batch_key, snapshot_scan, CompactionPlan, CompactionTicket,
     CorpusStats, MutableCorpus, Segment, Snapshot,
 };
-use crate::topk::{offset_hits, top_k};
+use crate::topk::top_k;
 use crate::{Hit, Result};
 
 /// Configuration of a [`ShardedRagServer`].
@@ -105,11 +110,11 @@ pub struct ServeConfig {
     pub replicas: usize,
     /// How retrievals execute by default: [`IndexMode::Flat`] (the
     /// paper's exact scan) or [`IndexMode::Ivf`] cluster-pruned search.
-    /// A sharded server builds one IVF index **per shard slice** and
-    /// keeps the exact global top-k merge unchanged; a per-query
+    /// A sharded server builds one IVF index **per shard base segment**
+    /// and keeps the exact global top-k merge unchanged; a per-query
     /// [`QuerySpec::index`] overrides this default, and queries with
     /// different index modes never share a batch
-    /// ([`crate::batch::retrieval_batch_key_for`]).
+    /// ([`crate::mutable::snapshot_batch_key`]).
     pub index: IndexMode,
     /// Priority background compaction tasks are submitted at on a
     /// mutable server (see [`ShardedRagServer::new_mutable`]). The
@@ -567,40 +572,23 @@ impl ServeReport {
     }
 }
 
-/// A shard scan's runner answer: the report with the off-chip embedding
-/// stream folded into its service time — the kernel cannot run ahead of
-/// the stream, and that stream is exactly the cost one batched dispatch
-/// amortizes over its members — and every hit lifted to global chunk
-/// ids.
-fn shard_answer(
-    mut report: TaskReport,
-    stream_ms: f64,
-    hits: Vec<Vec<Hit>>,
-    base: u32,
-) -> (TaskReport, Vec<Vec<Hit>>) {
-    report.duration += Duration::from_secs_f64(stream_ms / 1e3);
-    let hits = hits.into_iter().map(|h| offset_hits(h, base)).collect();
-    (report, hits)
-}
-
 struct PendingQuery {
     ticket: QueryTicket,
     spec: QuerySpec,
-    /// Immutable corpus snapshot captured at admission on a mutable
-    /// server; `None` on a static corpus (the pre-mutation fast path).
-    snapshot: Option<Arc<Snapshot>>,
+    /// The corpus snapshot captured at admission.
+    snapshot: Arc<Snapshot>,
 }
 
 /// An online RAG retrieval server over a simulated cluster of one or
 /// more devices.
 ///
-/// The corpus is split into contiguous shards
+/// The corpus is one [`MutableCorpus`] split into contiguous shards
 /// ([`EmbeddingStore::shards`]); each shard owns one simulated
 /// [`ApuDevice`] (independent virtual clock, fault plan, trace sink) and
 /// one off-chip [`MemorySystem`]. [`ShardedRagServer::drain`] fans every
 /// query out to all shards through a [`DeviceCluster`] — each shard runs
-/// the same continuous-batching retrieval kernel over its slice of the
-/// corpus and reports **global** chunk ids — then merges the per-shard
+/// the same continuous-batching retrieval kernel over its view of the
+/// query's snapshot and reports **global** document ids — then merges the per-shard
 /// top-k into the exact global top-k with the same tie-break
 /// (score descending, chunk ascending) as a whole-corpus scan, so a
 /// fault-free run is element-identical at every shard count.
@@ -642,7 +630,6 @@ struct PendingQuery {
 pub struct ShardedRagServer {
     devices: Vec<ApuDevice>,
     hbms: Vec<MemorySystem>,
-    shards: Vec<CorpusShard>,
     placement: Placement,
     replicas: usize,
     cfg: ServeConfig,
@@ -651,25 +638,25 @@ pub struct ShardedRagServer {
     /// Queries refused at submission since the last drain.
     rejected: usize,
     traces: Option<Vec<Rc<RefCell<ChromeTraceSink>>>>,
-    /// Per-`nlist` IVF indexes, one per shard slice (shared across a
-    /// shard's replicas), built lazily and cached across drains.
-    ivf: HashMap<usize, Vec<IvfIndex>>,
-    /// The live corpus on a server built with
-    /// [`ShardedRagServer::new_mutable`]; `None` keeps the static
-    /// fast path byte-identical to the pre-mutation server.
-    mutable: Option<MutableCorpus>,
-    /// IVF indexes over mutable **base** segments, keyed by
-    /// `(base epoch, nlist)`. Epochs are unique per segment generation,
-    /// so a compacted base never reuses a stale index; stale entries are
-    /// pruned once no live snapshot can reference them.
-    mut_ivf: HashMap<(u64, usize), IvfIndex>,
+    /// The corpus every query scans a snapshot of.
+    corpus: MutableCorpus,
+    /// Whether the corpus accepts writes
+    /// ([`ShardedRagServer::new_mutable`]).
+    mutable: bool,
+    /// IVF indexes over **base** segments (shared across a shard's
+    /// replicas), built lazily and keyed by `(base epoch, nlist)`.
+    /// Epochs are unique per segment generation, so a compacted base
+    /// never reuses a stale index; stale entries are pruned once no live
+    /// snapshot can reference them.
+    ivf: HashMap<(u64, usize), IvfIndex>,
 }
 
 impl ShardedRagServer {
     /// Builds a cluster of `shards × max(cfg.replicas, 1)` simulated
     /// devices, each configured from `sim`; replica `r` of shard `s`
-    /// holds a copy of shard `s`'s contiguous slice of `store` on its
-    /// own device + off-chip memory.
+    /// serves shard `s`'s contiguous slice of `store` on its own device
+    /// and off-chip memory. The slices are views of `store`'s buffer. The
+    /// corpus refuses writes: every query scans the build-time shards.
     ///
     /// # Errors
     ///
@@ -687,9 +674,9 @@ impl ShardedRagServer {
             ));
         }
         let replicas = cfg.replicas.max(1);
-        let shards = store.shards(shards);
-        let n_devices = shards.len() * replicas;
-        let placement = Placement::new(shards.len(), replicas, n_devices)?;
+        let corpus = MutableCorpus::new(store, shards);
+        let n_devices = corpus.shard_count() * replicas;
+        let placement = Placement::new(corpus.shard_count(), replicas, n_devices)?;
         let mut devices = Vec::with_capacity(n_devices);
         let mut hbms = Vec::with_capacity(n_devices);
         for _ in 0..n_devices {
@@ -699,7 +686,6 @@ impl ShardedRagServer {
         Ok(ShardedRagServer {
             devices,
             hbms,
-            shards,
             placement,
             replicas,
             cfg,
@@ -707,18 +693,18 @@ impl ShardedRagServer {
             next_ticket: 0,
             rejected: 0,
             traces: None,
+            corpus,
+            mutable: false,
             ivf: HashMap::new(),
-            mutable: None,
-            mut_ivf: HashMap::new(),
         })
     }
 
-    /// Builds a **mutable** sharded server: the same cluster as
-    /// [`ShardedRagServer::new`], plus a [`MutableCorpus`] whose base
-    /// segments are `store`'s shard slices. Queries capture an immutable
-    /// snapshot at admission ([`ShardedRagServer::submit_query`]) and
-    /// scan exactly that snapshot — base + sealed deltas minus
-    /// tombstones — through the same batched kernel path, so batching,
+    /// Builds a **mutable** sharded server: the same cluster and
+    /// [`MutableCorpus`] as [`ShardedRagServer::new`], accepting writes.
+    /// Queries capture an immutable snapshot at admission
+    /// ([`ShardedRagServer::submit_query`]) and scan exactly that
+    /// snapshot — base + sealed deltas minus tombstones — through the
+    /// same batched kernel path, so batching,
     /// sharding, replication, priorities, and fault containment all
     /// compose unchanged. Background compaction requested via
     /// [`ShardedRagServer::request_compaction`] runs as ordinary
@@ -735,20 +721,24 @@ impl ShardedRagServer {
         cfg: ServeConfig,
     ) -> Result<Self> {
         let mut server = Self::new(store, shards, sim, cfg)?;
-        server.mutable = Some(MutableCorpus::new(store, server.shards.len()));
+        server.mutable = true;
         Ok(server)
     }
 
     /// Whether this server was built with
     /// [`ShardedRagServer::new_mutable`].
     pub fn is_mutable(&self) -> bool {
-        self.mutable.is_some()
+        self.mutable
     }
 
     fn corpus_mut(&mut self) -> Result<&mut MutableCorpus> {
-        self.mutable.as_mut().ok_or_else(|| {
-            Error::InvalidArg("corpus mutation needs a server built with new_mutable".into())
-        })
+        if self.mutable {
+            Ok(&mut self.corpus)
+        } else {
+            Err(Error::InvalidArg(
+                "corpus mutation needs a server built with new_mutable".into(),
+            ))
+        }
     }
 
     /// Ingests one document into the live corpus, returning its global
@@ -807,21 +797,26 @@ impl ShardedRagServer {
 
     /// Current live-corpus counters (all zeros on an immutable server).
     pub fn corpus_stats(&self) -> CorpusStats {
-        self.mutable
-            .as_ref()
-            .map(MutableCorpus::stats)
-            .unwrap_or_default()
+        if self.mutable {
+            self.corpus.stats()
+        } else {
+            CorpusStats::default()
+        }
     }
 
     /// Captures the current corpus snapshot — what a query submitted
     /// right now would scan. `None` on an immutable server.
     pub fn corpus_snapshot(&mut self) -> Option<Arc<Snapshot>> {
-        self.mutable.as_mut().map(MutableCorpus::snapshot)
+        if self.mutable {
+            Some(self.corpus.snapshot())
+        } else {
+            None
+        }
     }
 
     /// Number of corpus shards (logical shard groups).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.corpus.shard_count()
     }
 
     /// Replicas per corpus shard (1 without replication).
@@ -834,9 +829,11 @@ impl ShardedRagServer {
         self.devices.len()
     }
 
-    /// The corpus shards, in shard order.
+    /// The build-time corpus shards, in shard order
+    /// ([`MutableCorpus::partition`]): views of the store the server was
+    /// built from.
     pub fn shards(&self) -> &[CorpusShard] {
-        &self.shards
+        self.corpus.partition()
     }
 
     /// Queries accepted but not yet drained.
@@ -977,10 +974,9 @@ impl ShardedRagServer {
         }
         let ticket = QueryTicket(self.next_ticket);
         self.next_ticket += 1;
-        // On a mutable server every query pins the corpus state it was
-        // admitted against; later writes and compactions cannot change
-        // what it observes.
-        let snapshot = self.mutable.as_mut().map(MutableCorpus::snapshot);
+        // Every query pins the corpus state it was admitted against;
+        // later writes and compactions cannot change what it observes.
+        let snapshot = self.corpus.snapshot();
         self.pending.push(PendingQuery {
             ticket,
             spec,
@@ -1026,15 +1022,11 @@ impl ShardedRagServer {
 
         // Compaction plans captured since the last drain ride this one
         // as ordinary device tasks (applied or failed after the loop).
-        let plans: Vec<Arc<CompactionPlan>> = self
-            .mutable
-            .as_mut()
-            .map(MutableCorpus::take_plans)
-            .unwrap_or_default();
+        let plans: Vec<Arc<CompactionPlan>> = self.corpus.take_plans();
         let compaction_priority = self.cfg.compaction_priority;
 
         let k = self.cfg.k;
-        let n_shards = self.shards.len();
+        let n_shards = self.corpus.shard_count();
         let n_devices = self.devices.len();
         let mut queue_cfg = self
             .cfg
@@ -1052,56 +1044,39 @@ impl ShardedRagServer {
 
         // Build (once, cached across drains) every per-shard IVF index
         // this drain needs; a shard's replicas share the index, and the
-        // exact global merge is unchanged.
+        // exact global merge is unchanged. A query indexes the base
+        // segments of its own snapshot; the (unique) base epoch keys the
+        // cache, so a compacted base can never serve a stale index.
+        // Deltas stay flat-scanned — they are small and short-lived by
+        // design.
         for p in &queries {
             if let IndexMode::Ivf { nlist, .. } = p.spec.index.unwrap_or(cfg_index) {
-                match &p.snapshot {
-                    // A snapshot query indexes its own base segments;
-                    // the (unique) base epoch keys the cache, so a
-                    // compacted base can never serve a stale index.
-                    // Deltas stay flat-scanned — they are small and
-                    // short-lived by design.
-                    Some(snap) => {
-                        for sh in &snap.shards {
-                            let base = &sh.segments[0].store;
-                            if base.spec().chunks == 0 {
-                                continue;
-                            }
-                            self.mut_ivf
-                                .entry((base.epoch(), nlist))
-                                .or_insert_with(|| IvfIndex::build(base, nlist));
-                        }
+                for sh in &p.snapshot.shards {
+                    let base = &sh.segments[0].store;
+                    if base.spec().chunks == 0 {
+                        continue;
                     }
-                    None => {
-                        if !self.ivf.contains_key(&nlist) {
-                            let built = self
-                                .shards
-                                .iter()
-                                .map(|sh| IvfIndex::build(&sh.store, nlist))
-                                .collect();
-                            self.ivf.insert(nlist, built);
-                        }
-                    }
+                    self.ivf
+                        .entry((base.epoch(), nlist))
+                        .or_insert_with(|| IvfIndex::build(base, nlist));
                 }
             }
         }
         // Drop cached indexes whose base epoch no live query references
         // and the corpus no longer holds — compaction retired them.
-        if let Some(corpus) = &self.mutable {
-            let live: std::collections::HashSet<u64> = corpus
-                .base_epochs()
-                .into_iter()
-                .chain(
-                    queries
-                        .iter()
-                        .filter_map(|p| p.snapshot.as_ref())
-                        .flat_map(|snap| snap.shards.iter().map(|sh| sh.segments[0].store.epoch())),
-                )
-                .collect();
-            self.mut_ivf.retain(|(epoch, _), _| live.contains(epoch));
-        }
-        let ivf_indexes = &self.ivf;
-        let mut_ivf = &self.mut_ivf;
+        let live: HashSet<u64> = self
+            .corpus
+            .base_epochs()
+            .into_iter()
+            .chain(queries.iter().flat_map(|p| {
+                p.snapshot
+                    .shards
+                    .iter()
+                    .map(|sh| sh.segments[0].store.epoch())
+            }))
+            .collect();
+        self.ivf.retain(|(epoch, _), _| live.contains(epoch));
+        let ivf = &self.ivf;
         let ivf_cell = RefCell::new(IvfStats::default());
 
         // Per-query submission parameters, in (arrival, ticket) order —
@@ -1115,7 +1090,7 @@ impl ShardedRagServer {
             ttl: Option<Duration>,
             index: IndexMode,
             query: Vec<i16>,
-            snapshot: Option<Arc<Snapshot>>,
+            snapshot: Arc<Snapshot>,
         }
         let infos: Vec<QInfo> = queries
             .into_iter()
@@ -1140,7 +1115,6 @@ impl ShardedRagServer {
         // cells, so they must outlive the cluster that owns the closures.
         let hbm_cells: Vec<RefCell<&mut MemorySystem>> =
             self.hbms.iter_mut().map(RefCell::new).collect();
-        let shards = &self.shards;
         let mut cluster = DeviceCluster::new(
             self.devices.iter_mut().collect(),
             queue_cfg,
@@ -1156,71 +1130,31 @@ impl ShardedRagServer {
         // never extends it.
         let make_task = |info: &QInfo, s: usize, device: usize, at: Duration, prio: Priority| {
             let hbm = &hbm_cells[device];
-            let shard = &shards[s];
-            let run: apu_sim::queue::BatchRunner<'_> = if let Some(snap_ref) = &info.snapshot {
-                // Snapshot path: scan the pinned shard view — base +
-                // sealed deltas minus tombstones — through the same
-                // batched kernel. The base may run through a per-epoch
-                // IVF index; deltas always scan flat.
-                let ivf_sel: Option<(&IvfIndex, usize)> = match info.index {
-                    IndexMode::Flat => None,
-                    IndexMode::Ivf { nlist, nprobe } => {
-                        let base = &snap_ref.shards[s].segments[0].store;
-                        if base.spec().chunks == 0 {
-                            None
-                        } else {
-                            Some((&mut_ivf[&(base.epoch(), nlist)], nprobe))
-                        }
-                    }
-                };
-                let snap = Arc::clone(snap_ref);
-                let stats = &ivf_cell;
+            // Scan the pinned shard view — base + sealed deltas minus
+            // tombstones — through the batched kernel. The base may run
+            // through its per-epoch IVF index; deltas always scan flat.
+            let index = match info.index {
+                IndexMode::Flat => None,
+                IndexMode::Ivf { nlist, nprobe } => {
+                    let base = &info.snapshot.shards[s].segments[0].store;
+                    (base.spec().chunks > 0).then(|| (&ivf[&(base.epoch(), nlist)], nprobe))
+                }
+            };
+            let snap = Arc::clone(&info.snapshot);
+            let stats = &ivf_cell;
+            let run: apu_sim::queue::BatchRunner<'_> =
                 Box::new(move |dev: &mut ApuDevice, payloads| {
                     run_boxed(payloads, |queries| {
                         let mut hbm = hbm.borrow_mut();
                         let (report, hits, ds) =
-                            snapshot_scan(dev, &mut hbm, &snap.shards[s], ivf_sel, queries, k)?;
+                            snapshot_scan(dev, &mut hbm, &snap.shards[s], index, queries, k)?;
                         stats.borrow_mut().absorb(&ds);
                         Ok((report, hits))
                     })
-                })
-            } else {
-                match info.index {
-                    IndexMode::Flat => Box::new(move |dev: &mut ApuDevice, payloads| {
-                        run_boxed(payloads, |queries| {
-                            let mut hbm = hbm.borrow_mut();
-                            let scan = retrieve_batch(dev, &mut hbm, &shard.store, queries, k)?;
-                            let stream_ms = scan.breakdown.load_embedding_ms;
-                            Ok(shard_answer(scan.report, stream_ms, scan.hits, shard.base))
-                        })
-                    }),
-                    IndexMode::Ivf { nlist, nprobe } => {
-                        let index = &ivf_indexes[&nlist][s];
-                        let stats = &ivf_cell;
-                        Box::new(move |dev: &mut ApuDevice, payloads| {
-                            run_boxed(payloads, |queries| {
-                                let mut hbm = hbm.borrow_mut();
-                                let search =
-                                    index.search_batch(dev, &mut hbm, queries, k, nprobe)?;
-                                stats.borrow_mut().absorb(&search.stats);
-                                let stream_ms = search.breakdown.load_embedding_ms;
-                                Ok(shard_answer(
-                                    search.report,
-                                    stream_ms,
-                                    search.hits,
-                                    shard.base,
-                                ))
-                            })
-                        })
-                    }
-                }
-            };
-            // Snapshot queries batch by (shard, snapshot id, k, mode):
-            // same-snapshot queries coalesce, cross-snapshot never do.
-            let key = match &info.snapshot {
-                Some(snap) => snapshot_batch_key(s, snap.id, k, info.index),
-                None => retrieval_batch_key_for(s, k, info.index),
-            };
+                });
+            // Queries batch by (shard, snapshot id, k, mode): same-snapshot
+            // queries coalesce, cross-snapshot never do.
+            let key = snapshot_batch_key(s, info.snapshot.id, k, info.index);
             let mut task = TaskSpec::batch(key, Box::new(info.query.clone()), run)
                 .priority(prio)
                 .at(at)
@@ -1423,14 +1357,12 @@ impl ShardedRagServer {
         // and retires the captured tombstones; a failed one leaves the
         // corpus untouched and re-requestable. Queries are unaffected
         // either way — every admitted query pinned its snapshot.
-        if let Some(corpus) = self.mutable.as_mut() {
-            comp_results.sort_by_key(|(pi, _)| plans[*pi].seq);
-            for (pi, done) in comp_results {
-                let plan = &plans[pi];
-                match done.map(Completion::into_output::<Segment>) {
-                    Some(Ok(merged)) => corpus.apply_compaction(plan, merged),
-                    Some(Err(_)) | None => corpus.fail_compaction(plan),
-                }
+        comp_results.sort_by_key(|(pi, _)| plans[*pi].seq);
+        for (pi, done) in comp_results {
+            let plan = &plans[pi];
+            match done.map(Completion::into_output::<Segment>) {
+                Some(Ok(merged)) => self.corpus.apply_compaction(plan, merged),
+                Some(Err(_)) | None => self.corpus.fail_compaction(plan),
             }
         }
         // Queue counters are cumulative across drain rounds, so one
@@ -1534,19 +1466,17 @@ impl ShardedRagServer {
             down: cluster.health().down_transitions(),
             failover_served,
         };
+        // The cluster's runners borrow the devices and memories; release
+        // them before reading the corpus counters.
+        drop(cluster);
         let ivf = *ivf_cell.borrow();
-        let corpus = self
-            .mutable
-            .as_ref()
-            .map(MutableCorpus::stats)
-            .unwrap_or_default();
         Ok(ServeReport {
             completions,
             queue,
             shards: shard_stats,
             replica,
             ivf,
-            corpus,
+            corpus: self.corpus_stats(),
             rejected: std::mem::take(&mut self.rejected),
         })
     }

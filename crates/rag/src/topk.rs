@@ -22,17 +22,6 @@ pub fn top_k(mut hits: Vec<Hit>, k: usize) -> Vec<Hit> {
     hits
 }
 
-/// Lifts hits with local chunk ids (shard-local or cluster-local) to a
-/// global id space by offsetting every chunk id by `base`.
-pub fn offset_hits(hits: Vec<Hit>, base: u32) -> Vec<Hit> {
-    hits.into_iter()
-        .map(|h| Hit {
-            chunk: h.chunk + base,
-            score: h.score,
-        })
-        .collect()
-}
-
 /// Drops hits whose id appears in `tombstones`, a **sorted** slice of
 /// deleted ids. Relative order of the survivors is preserved.
 ///
@@ -96,12 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn offset_rebases_chunk_ids_only() {
-        let out = offset_hits(vec![h(0, 3), h(2, -1)], 100);
-        assert_eq!(out, vec![h(100, 3), h(102, -1)]);
-    }
-
-    #[test]
     fn merge_equals_top_k_of_union() {
         let parts = vec![vec![h(0, 5), h(1, 4)], Vec::new(), vec![h(10, 9), h(11, 4)]];
         let merged = merge_top_k(parts.clone(), 3);
@@ -129,13 +112,11 @@ mod tests {
     }
 
     #[test]
-    fn tombstoned_hit_cannot_leak_through_offset_and_merge() {
-        // A shard-local hit for a document that a newer snapshot
-        // tombstoned: lifted to the global id space, filtered, merged —
-        // the deleted id must be absent even when it had the top score.
-        let shard_local = vec![h(2, 50), h(0, 40)]; // global 102, 100
-        let global = offset_hits(shard_local, 100);
-        let filtered = drop_tombstoned(global, &[102]);
+    fn tombstoned_hit_cannot_leak_through_the_merge() {
+        // A hit for a document that a newer snapshot tombstoned:
+        // filtered, merged — the deleted id must be absent even when it
+        // had the top score.
+        let filtered = drop_tombstoned(vec![h(102, 50), h(100, 40)], &[102]);
         let merged = merge_top_k(vec![filtered, vec![h(7, 45)]], 2);
         assert_eq!(merged, vec![h(7, 45), h(100, 40)]);
         assert!(merged.iter().all(|m| m.chunk != 102));

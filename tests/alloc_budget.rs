@@ -1,8 +1,9 @@
 //! Heap-allocation budgets for the simulator's hot loops: per vector
 //! command (`apu-sim`), per DRAM burst (`hbm-sim`) and per kernel plane
-//! (`rag`). A counting global allocator tallies allocations per thread,
-//! so each check sees only its own work while other tests run in
-//! parallel.
+//! (`rag`), and for the corpus, whose shards and snapshots share the
+//! caller's embedding buffer. A counting global allocator tallies
+//! allocations and their bytes per thread, so each check sees only its
+//! own work while other tests run in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,17 +12,21 @@ use std::hint::black_box;
 use apu_sim::{ApuDevice, ExecMode, SimConfig, VecOp};
 use hbm_sim::{DramSpec, MemorySystem};
 use rag::corpus::EMBED_DIM;
-use rag::{retrieve_batch, CorpusSpec, EmbeddingStore};
+use rag::{
+    retrieve_batch, CorpusSpec, EmbeddingStore, MutableCorpus, ServeConfig, ShardedRagServer,
+};
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with` fails only while the thread is being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to the system
@@ -29,19 +34,19 @@ fn count_one() {
 // only a const-initialized thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's `layout` obligations pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -63,10 +68,65 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
+/// Runs `f` and returns its result with the bytes it allocated on this
+/// thread (a `realloc` counts its whole new block).
+fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
+}
+
 #[test]
 fn the_counter_sees_allocations() {
     let (v, n) = allocations(|| black_box(vec![0u8; 64]));
     assert_eq!((v.len(), n), (64, 1));
+    let (v, bytes) = allocated_bytes(|| black_box(vec![0u16; 64]));
+    assert_eq!((v.len(), bytes), (64, 128));
+}
+
+#[test]
+fn a_corpus_shares_the_callers_embeddings() {
+    // A corpus over a store keeps views of the store's buffer and the
+    // bounds of each shard's id run: no embedding copy (768 B per chunk)
+    // and no per-document state. The budget leaves room for one 4-byte
+    // id per chunk.
+    let materialized = EmbeddingStore::materialized(
+        CorpusSpec {
+            corpus_bytes: 0,
+            chunks: 4_096,
+        },
+        3,
+    );
+    // `flat_timing`'s 15 GB corpus: 244,500 chunks.
+    let size_only = EmbeddingStore::size_only(CorpusSpec::from_corpus_bytes(15_000_000_000), 3);
+    for store in [&materialized, &size_only] {
+        let chunks = store.spec().chunks as u64;
+        let (corpus, bytes) = allocated_bytes(|| MutableCorpus::new(store, 2));
+        assert_eq!(corpus.live_docs(), chunks);
+        assert!(
+            bytes <= 5 * chunks,
+            "{bytes} B for {chunks} chunks ({:.1} B per chunk)",
+            bytes as f64 / chunks as f64
+        );
+    }
+
+    // The server's shards and a snapshot's base segments point into the
+    // caller's buffer.
+    let sim = SimConfig::default().with_l4_bytes(8 << 20);
+    let server = ShardedRagServer::new(&materialized, 2, sim.clone(), ServeConfig::default())
+        .expect("server construction");
+    let mut live = ShardedRagServer::new_mutable(&materialized, 2, sim, ServeConfig::default())
+        .expect("server construction");
+    let snap = live.corpus_snapshot().expect("mutable server");
+    for (s, shard) in server.shards().iter().enumerate() {
+        let start = materialized.raw()[shard.base as usize * EMBED_DIM..].as_ptr();
+        assert!(std::ptr::eq(shard.store.raw().as_ptr(), start), "shard {s}");
+        let base = &snap.shards[s].segments[0].store;
+        assert!(
+            std::ptr::eq(base.raw().as_ptr(), start),
+            "base of shard {s}"
+        );
+    }
 }
 
 #[test]

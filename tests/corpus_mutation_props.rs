@@ -25,8 +25,8 @@
 //! * **determinism**: same seed, same churn stream → byte-identical
 //!   hits, corpus counters, and Prometheus text, across the CI axes.
 //!
-//! The CI mutation axis (`APU_SIM_TEST_MUTATION=static|churn`) drives
-//! the end-to-end case, composing with the `APU_SIM_TEST_MODE` /
+//! The end-to-end case serves a frozen and a churning corpus on every CI
+//! matrix point, composing with the `APU_SIM_TEST_MODE` /
 //! `APU_SIM_TEST_SHARDS` / `APU_SIM_TEST_REPLICAS` /
 //! `APU_SIM_TEST_INDEX` axes and with `APU_SIM_FAST_FORWARD` (memo keys
 //! carry the segment epoch, pinned by `tests/fast_forward.rs`).
@@ -231,7 +231,7 @@ proptest! {
             .flat_map(|sh| {
                 sh.segments
                     .iter()
-                    .flat_map(|seg| seg.ids.iter().copied())
+                    .flat_map(|seg| seg.ids.iter())
                     .filter(|doc| sh.tombstones.binary_search(doc).is_err())
             })
             .collect();
@@ -534,18 +534,14 @@ fn same_seed_churn_serves_are_byte_identical() {
     assert_eq!(first.2, second.2, "prometheus text diverged run-to-run");
 }
 
-/// End-to-end check on the CI mutation axis: `APU_SIM_TEST_MUTATION`
-/// selects a static corpus (the pre-mutation fast path must stay fully
-/// served and export all-zero corpus counters) or the churn stream
-/// (live ingest + deletes + mid-stream compaction must stay fully
-/// served with the `apu_corpus_*` series populated), composing with the
-/// mode, shard, replica, index, and fast-forward axes.
+/// End-to-end check on every CI matrix point: a static corpus (which
+/// refuses writes and exports all-zero corpus counters) and the churn
+/// stream (live ingest + deletes + mid-stream compaction, with the
+/// `apu_corpus_*` series populated) must both stay fully served,
+/// composing with the mode, shard, replica, index, and fast-forward
+/// axes.
 #[test]
-fn ci_mutation_axis_serves_the_full_stream() {
-    let churn = matches!(
-        std::env::var("APU_SIM_TEST_MUTATION").as_deref(),
-        Ok("churn")
-    );
+fn static_and_churning_corpora_serve_the_full_stream() {
     let shards = axis("APU_SIM_TEST_SHARDS", 2);
     let replicas = axis("APU_SIM_TEST_REPLICAS", 1);
     let mode = ExecMode::from_env(ExecMode::Functional);
@@ -553,39 +549,42 @@ fn ci_mutation_axis_serves_the_full_stream() {
         Ok("ivf") => IndexMode::ivf_default(),
         _ => IndexMode::Flat,
     };
-    if churn {
-        let (hits, corpus, text) = churn_run(shards, replicas, mode, index);
-        assert_eq!(hits.len(), 18);
-        assert!(corpus.inserts >= 4);
-        assert!(corpus.deletes >= 1);
-        assert_eq!(corpus.compactions + corpus.compaction_failures, 1);
-        assert!(corpus.snapshots >= 2);
-        assert!(text.contains("apu_corpus_inserts_total"));
-        assert!(text.contains("apu_corpus_compactions_total"));
-    } else {
-        let st = store(1_024, 42);
-        let mut server = ShardedRagServer::new(
-            &st,
-            shards,
-            sim(mode),
-            ServeConfig {
-                k: 8,
-                replicas,
-                index,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("server construction");
-        for i in 0..12u64 {
-            server
-                .submit(Duration::from_micros(25 * i), st.query(i))
-                .expect("submit");
-        }
-        let report = server.drain().expect("drain");
-        assert_eq!(report.served(), 12);
-        assert_eq!(report.corpus, rag::CorpusStats::default());
-        assert!(report
-            .prometheus_text()
-            .contains("apu_corpus_compactions_total 0"));
+    let (hits, corpus, text) = churn_run(shards, replicas, mode, index);
+    assert_eq!(hits.len(), 18);
+    assert!(corpus.inserts >= 4);
+    assert!(corpus.deletes >= 1);
+    assert_eq!(corpus.compactions + corpus.compaction_failures, 1);
+    assert!(corpus.snapshots >= 2);
+    assert!(text.contains("apu_corpus_inserts_total"));
+    assert!(text.contains("apu_corpus_compactions_total"));
+
+    let st = store(1_024, 42);
+    let mut server = ShardedRagServer::new(
+        &st,
+        shards,
+        sim(mode),
+        ServeConfig {
+            k: 8,
+            replicas,
+            index,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server construction");
+    assert!(!server.is_mutable());
+    assert!(server.insert_doc(&st.query(99)).is_err());
+    assert!(server.delete_doc(0).is_err());
+    assert!(server.corpus_snapshot().is_none());
+    for i in 0..12u64 {
+        server
+            .submit(Duration::from_micros(25 * i), st.query(i))
+            .expect("submit");
     }
+    let report = server.drain().expect("drain");
+    assert_eq!(report.served(), 12);
+    assert_eq!(report.corpus, rag::CorpusStats::default());
+    assert_eq!(server.corpus_stats(), rag::CorpusStats::default());
+    assert!(report
+        .prometheus_text()
+        .contains("apu_corpus_compactions_total 0"));
 }
