@@ -134,6 +134,18 @@ pub struct ApuCore {
     l4_contention: f64,
 }
 
+/// Splits distinct in-bounds indices `d != s` of `regs` into a mutable
+/// and a shared register.
+fn split_pair(regs: &mut [Vec<u16>], d: usize, s: usize) -> (&mut [u16], &[u16]) {
+    if d < s {
+        let (lo, hi) = regs.split_at_mut(s);
+        (&mut lo[d], &hi[0])
+    } else {
+        let (lo, hi) = regs.split_at_mut(d);
+        (&mut hi[0], &lo[s])
+    }
+}
+
 impl ApuCore {
     /// Creates a core with zeroed registers.
     pub(crate) fn new(id: usize, cfg: SimConfig) -> Self {
@@ -264,19 +276,47 @@ impl ApuCore {
     /// Fails on bad indices or when `dst == src` (callers handle aliasing
     /// with an in-place code path).
     pub fn vr_pair_mut(&mut self, dst: Vr, src: Vr) -> Result<(&mut [u16], &[u16])> {
+        let (d, s) = self.check_vr_pair(dst, src)?;
+        Ok(split_pair(&mut self.vrs, d, s))
+    }
+
+    /// [`ApuCore::vr_pair_mut`] plus a shared marker register (for
+    /// masked copies).
+    ///
+    /// # Errors
+    ///
+    /// Fails on bad indices or when `dst == src`.
+    pub fn masked_vr_pair_mut(
+        &mut self,
+        dst: Vr,
+        src: Vr,
+        m: Marker,
+    ) -> Result<(&mut [u16], &[u16], &[bool])> {
+        let (d, s) = self.check_vr_pair(dst, src)?;
+        let mi = self.check_marker(m)?;
+        let (dst, src) = split_pair(&mut self.vrs, d, s);
+        Ok((dst, src, &self.markers[mi]))
+    }
+
+    /// Mutable access to a VR plus a shared marker register (for masked
+    /// writes).
+    ///
+    /// # Errors
+    ///
+    /// Fails if either index is out of range.
+    pub fn masked_vr_mut(&mut self, dst: Vr, m: Marker) -> Result<(&mut [u16], &[bool])> {
+        let d = self.check_vr(dst)?;
+        let mi = self.check_marker(m)?;
+        Ok((&mut self.vrs[d], &self.markers[mi]))
+    }
+
+    fn check_vr_pair(&self, dst: Vr, src: Vr) -> Result<(usize, usize)> {
         let d = self.check_vr(dst)?;
         let s = self.check_vr(src)?;
         if d == s {
             return Err(Error::InvalidArg(format!("aliased VR operands: {dst}")));
         }
-        // Safe split: indices are distinct and in-bounds.
-        if d < s {
-            let (lo, hi) = self.vrs.split_at_mut(s);
-            Ok((&mut lo[d], &hi[0]))
-        } else {
-            let (lo, hi) = self.vrs.split_at_mut(d);
-            Ok((&mut hi[0], &lo[s]))
-        }
+        Ok((d, s))
     }
 
     /// Disjoint access to three VRs: mutable `dst`, shared `a` and `b`.
@@ -304,6 +344,21 @@ impl ApuCore {
             let b_ref: &Vec<u16> = &*ptr.add(bi);
             Ok((dst_ref.as_mut_slice(), a_ref.as_slice(), b_ref.as_slice()))
         }
+    }
+
+    /// A VR and an L1 vector-memory register, both mutable (for
+    /// VR ↔ L1 moves in either direction).
+    pub(crate) fn vr_vmr_mut(&mut self, vr: Vr, vmr: Vmr) -> Result<(&mut [u16], &mut [u16])> {
+        let v = self.check_vr(vr)?;
+        let m = self.check_vmr(vmr)?;
+        Ok((&mut self.vrs[v], &mut self.vmrs[m]))
+    }
+
+    /// The L2 scratchpad and an L1 vector-memory register, both mutable
+    /// (for L2 ↔ L1 DMA in either direction).
+    pub(crate) fn l2_vmr_mut(&mut self, vmr: Vmr) -> Result<(&mut [u8], &mut [u16])> {
+        let m = self.check_vmr(vmr)?;
+        Ok((&mut self.l2, &mut self.vmrs[m]))
     }
 
     /// Read access to an L1 vector-memory register.

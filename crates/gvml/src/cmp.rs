@@ -240,8 +240,7 @@ impl CmpOps for ApuCore {
         if !self.is_functional() {
             return Ok(());
         }
-        let marks = self.marker(mrk)?.to_vec();
-        let (d, s) = self.vr_pair_mut(dst, src)?;
+        let (d, s, marks) = self.masked_vr_pair_mut(dst, src, mrk)?;
         for ((o, &v), &mk) in d.iter_mut().zip(s.iter()).zip(marks.iter()) {
             if mk {
                 *o = v;
@@ -257,8 +256,7 @@ impl CmpOps for ApuCore {
         if !self.is_functional() {
             return Ok(());
         }
-        let marks = self.marker(mrk)?.to_vec();
-        let d = self.vr_mut(dst)?;
+        let (d, marks) = self.masked_vr_mut(dst, mrk)?;
         for (o, &mk) in d.iter_mut().zip(marks.iter()) {
             if mk {
                 *o = imm;

@@ -180,17 +180,9 @@ impl ReduceOps for ApuCore {
         if !self.is_functional() {
             return Ok(());
         }
-        let src_data = self.vr(src)?.to_vec();
-        let d = self.vr_mut(dst)?;
-        d.fill(0);
-        for (dg, sg) in d
-            .chunks_exact_mut(subgrp_len)
-            .zip(src_data.chunks_exact(subgrp_len))
-        {
-            let acc = sg.iter().fold(0i16, |acc, &e| acc.wrapping_add(e as i16));
-            dg[0] = acc as u16;
-        }
-        Ok(())
+        fold_subgroups(self, dst, src, subgrp_len, |sg| {
+            sg.iter().fold(0i16, |acc, &e| acc.wrapping_add(e as i16)) as u16
+        })
     }
 
     fn max_subgrp_u16(
@@ -250,38 +242,72 @@ fn minmax(
     if !core.is_functional() {
         return Ok(());
     }
-    let n = core.vr_len();
-    let src_data = core.vr(src)?.to_vec();
-    let tag_data = match tag {
-        Some((_, tag_src)) => Some(core.vr(tag_src)?.to_vec()),
-        None => None,
+    let extremum = |sg: &[u16]| {
+        if want_max {
+            sg.iter().fold(0, |m, &v| m.max(v))
+        } else {
+            sg.iter().fold(u16::MAX, |m, &v| m.min(v))
+        }
     };
-    // Compute per-subgroup extrema and the tag of the extremal element
-    // (first occurrence wins ties, matching the staged hardware fold which
-    // keeps the earlier lane on equality).
-    let mut d_out = vec![0u16; n];
-    let mut t_out = vec![0u16; n];
-    for (head, slice) in src_data.chunks_exact(subgrp_len).enumerate() {
-        let head = head * subgrp_len;
-        // First occurrence wins ties (strict comparison), matching the
-        // staged hardware fold which keeps the earlier lane on equality.
-        let mut best = 0usize;
-        let mut best_v = slice[0];
-        for (i, &v) in slice.iter().enumerate() {
-            let better = if want_max { v > best_v } else { v < best_v };
-            if better {
-                best = i;
-                best_v = v;
+    // The first lane holding the extremum wins ties, matching the staged
+    // hardware fold which keeps the earlier lane on equality.
+    let first_extremal = |sg: &[u16]| {
+        let e = extremum(sg);
+        sg.iter()
+            .position(|&v| v == e)
+            .expect("a subgroup holds its extremum")
+    };
+    // Tags first: the value pass may overwrite `src` in place, while
+    // `tag_dst` never aliases `src` or `dst`.
+    if let Some((tag_dst, tag_src)) = tag {
+        if tag_dst == tag_src {
+            let (t, s) = core.vr_pair_mut(tag_dst, src)?;
+            for (tg, sg) in t
+                .chunks_exact_mut(subgrp_len)
+                .zip(s.chunks_exact(subgrp_len))
+            {
+                tg[0] = tg[first_extremal(sg)];
+                tg[1..].fill(0);
+            }
+        } else {
+            let (t, s, ts) = core.vr3_mut(tag_dst, src, tag_src)?;
+            for ((tg, sg), tsg) in t
+                .chunks_exact_mut(subgrp_len)
+                .zip(s.chunks_exact(subgrp_len))
+                .zip(ts.chunks_exact(subgrp_len))
+            {
+                tg.fill(0);
+                tg[0] = tsg[first_extremal(sg)];
             }
         }
-        d_out[head] = best_v;
-        if let Some(tags) = &tag_data {
-            t_out[head] = tags[head + best];
-        }
     }
-    core.vr_mut(dst)?.copy_from_slice(&d_out);
-    if let Some((tag_dst, _)) = tag {
-        core.vr_mut(tag_dst)?.copy_from_slice(&t_out);
+    fold_subgroups(core, dst, src, subgrp_len, extremum)
+}
+
+/// Writes `head(subgroup)` of `src` at the head of each aligned
+/// `subgrp_len`-element subgroup of `dst` and zeroes the other lanes;
+/// `dst == src` reduces in place.
+fn fold_subgroups(
+    core: &mut ApuCore,
+    dst: Vr,
+    src: Vr,
+    subgrp_len: usize,
+    head: impl Fn(&[u16]) -> u16,
+) -> Result<()> {
+    if dst == src {
+        for sg in core.vr_mut(dst)?.chunks_exact_mut(subgrp_len) {
+            sg[0] = head(sg);
+            sg[1..].fill(0);
+        }
+    } else {
+        let (d, s) = core.vr_pair_mut(dst, src)?;
+        for (dg, sg) in d
+            .chunks_exact_mut(subgrp_len)
+            .zip(s.chunks_exact(subgrp_len))
+        {
+            dg.fill(0);
+            dg[0] = head(sg);
+        }
     }
     Ok(())
 }
@@ -415,6 +441,53 @@ mod tests {
             core.min_subgrp_u16(Vr::new(1), Vr::new(0), 32, 32, None)?;
             assert_eq!(core.vr(Vr::new(1))?[0], 100);
             assert_eq!(core.vr(Vr::new(1))?[32], 100);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn min_max_tag_the_first_extremal_lane_in_place_or_not() {
+        // Many ties, so the first-occurrence rule decides most tags.
+        let vals = |i: usize| ((i * 37) % 13) as u16;
+        let tags = |i: usize| (i % 4096) as u16 + 1;
+        with_core(|core| {
+            let n = core.vr_len();
+            for want_max in [true, false] {
+                let mut heads = vec![0u16; n];
+                let mut head_tags = vec![0u16; n];
+                for h in (0..n).step_by(16) {
+                    let sg: Vec<u16> = (h..h + 16).map(vals).collect();
+                    let e = if want_max {
+                        sg.iter().max()
+                    } else {
+                        sg.iter().min()
+                    };
+                    let first = sg.iter().position(|v| Some(v) == e).unwrap();
+                    heads[h] = sg[first];
+                    head_tags[h] = tags(h + first);
+                }
+                let reduce = |core: &mut ApuCore, dst, src, tag| {
+                    if want_max {
+                        core.max_subgrp_u16(dst, src, 16, 64, tag)
+                    } else {
+                        core.min_subgrp_u16(dst, src, 16, 64, tag)
+                    }
+                };
+                let (v0, v1, v2, v3) = (Vr::new(0), Vr::new(1), Vr::new(2), Vr::new(3));
+                fill(core, v0, vals);
+                fill(core, v1, tags);
+                reduce(core, v2, v0, Some((v3, v1)))?;
+                assert_eq!(core.vr(v2)?, &heads[..]);
+                assert_eq!(core.vr(v3)?, &head_tags[..]);
+                reduce(core, v0, v0, Some((v1, v1)))?;
+                assert_eq!(core.vr(v0)?, &heads[..]);
+                assert_eq!(core.vr(v1)?, &head_tags[..]);
+                // Tagging by the values themselves tags each head with
+                // its own extremum.
+                fill(core, v0, vals);
+                reduce(core, v2, v0, Some((v3, v0)))?;
+                assert_eq!(core.vr(v3)?, &heads[..]);
+            }
             Ok(())
         });
     }

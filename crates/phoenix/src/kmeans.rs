@@ -107,51 +107,97 @@ pub fn generate(n_points: usize, k: usize, dims: usize, iters: usize, seed: u64)
     KmeansInput { coords, k, iters }
 }
 
+/// Points copied into one point-major scratch tile by
+/// [`assign_points`]: 64 points of the IVF trainer's 384 dimensions are
+/// a 48 KiB tile, which stays cache-resident while every centroid is
+/// swept against it.
+const BLOCK: usize = 64;
+
 /// Assigns every point of `input` to its nearest centroid (squared
 /// Euclidean distance, ties toward the lower cluster id), parallelized
 /// over `threads`. This is the assignment step of
 /// [`cpu`] / [`cpu_mt`], exposed so other trainers — e.g. the IVF
 /// index builder in the `rag` crate — can partition a full dataset
 /// against centroids fitted on a subsample.
+///
+/// The points are stored dimension-major, so each worker copies 64
+/// points at a time into a point-major scratch tile and scores them
+/// against the centroids flattened once per call: every distance runs
+/// over two contiguous slices. Distances are exact `u64` sums for any
+/// `u16` coordinates.
 pub fn assign_points(input: &KmeansInput, centroids: &[Vec<u16>], threads: usize) -> Vec<u16> {
     let n = input.n_points();
-    let points: Vec<usize> = (0..n).collect();
-    let assigned: Vec<(usize, u16)> = map_reduce(
-        &points,
+    let dims = input.dims();
+    let flat: Vec<u16> = centroids.iter().flatten().copied().collect();
+    let blocks: Vec<usize> = (0..n).step_by(BLOCK).collect();
+    // `map_reduce` hands each worker a contiguous run of blocks and
+    // folds the partials in order, so appending them yields the
+    // assignments in point order.
+    map_reduce(
+        &blocks,
         threads.max(1),
-        |chunk| {
-            chunk
-                .iter()
-                .map(|&p| (p, assign_point(input, centroids, p)))
-                .collect::<Vec<_>>()
+        |starts| {
+            let mut tile = vec![0u16; BLOCK * dims];
+            let mut out = Vec::with_capacity(starts.len() * BLOCK);
+            for &start in starts {
+                let len = BLOCK.min(n - start);
+                for (dim, col) in input.coords.iter().enumerate() {
+                    for (i, &v) in col[start..start + len].iter().enumerate() {
+                        tile[i * dims + dim] = v;
+                    }
+                }
+                out.extend(
+                    tile.chunks_exact(dims)
+                        .take(len)
+                        .map(|point| nearest(point, &flat, dims)),
+                );
+            }
+            out
         },
-        |mut a: Vec<(usize, u16)>, mut b| {
+        |mut a: Vec<u16>, mut b| {
             a.append(&mut b);
             a
         },
-    );
-    let mut assignments = vec![0u16; n];
-    for (p, c) in assigned {
-        assignments[p] = c;
-    }
-    assignments
+    )
 }
 
-fn assign_point(input: &KmeansInput, centroids: &[Vec<u16>], p: usize) -> u16 {
-    let mut best = u32::MAX;
+/// The first centroid of `centroids` (`dims` values each) at the least
+/// squared distance from `point`.
+fn nearest(point: &[u16], centroids: &[u16], dims: usize) -> u16 {
+    let mut best = u64::MAX;
     let mut best_c = 0u16;
-    for (c, cent) in centroids.iter().enumerate() {
-        let mut dist = 0u32;
-        for (dim, coord) in input.coords.iter().enumerate() {
-            let d = coord[p] as i32 - cent[dim] as i32;
-            dist += (d * d) as u32;
-        }
+    for (c, cent) in centroids.chunks_exact(dims).enumerate() {
+        let dist = squared_distance(point, cent);
         if dist < best {
             best = dist;
             best_c = c as u16;
         }
     }
     best_c
+}
+
+/// Exact squared Euclidean distance: each `u16` difference squares into
+/// a `u32` without overflow and the sum runs in `u64`.
+#[inline]
+fn squared_distance(a: &[u16], b: &[u16]) -> u64 {
+    // Eight independent lane sums let the compiler keep the widening
+    // accumulation in vector registers; one sum is about half as fast.
+    const LANES: usize = 8;
+    let mut lanes = [0u64; LANES];
+    let mut a8 = a.chunks_exact(LANES);
+    let mut b8 = b.chunks_exact(LANES);
+    for (x, y) in (&mut a8).zip(&mut b8) {
+        for i in 0..LANES {
+            let d = u32::from(x[i].abs_diff(y[i]));
+            lanes[i] += u64::from(d * d);
+        }
+    }
+    let mut sum: u64 = lanes.iter().sum();
+    for (&x, &y) in a8.remainder().iter().zip(b8.remainder()) {
+        let d = u32::from(x.abs_diff(y));
+        sum += u64::from(d * d);
+    }
+    sum
 }
 
 /// Single-threaded CPU reference.
@@ -166,25 +212,25 @@ pub fn cpu_mt(input: &KmeansInput, threads: usize) -> KmeansOutput {
 
 fn cpu_with_threads(input: &KmeansInput, threads: usize) -> KmeansOutput {
     let n = input.n_points();
-    let dims = input.dims();
     let mut centroids = input.initial_centroids();
     let mut assignments = vec![0u16; n];
+    let mut counts = vec![0u64; input.k];
+    let mut sums = vec![0u64; input.k];
     for _ in 0..input.iters {
         assignments = assign_points(input, &centroids, threads);
-        // update
-        let mut sums = vec![vec![0u64; dims]; input.k];
-        let mut counts = vec![0u64; input.k];
-        for p in 0..n {
-            let c = assignments[p] as usize;
-            counts[c] += 1;
-            for (dim, coord) in input.coords.iter().enumerate() {
-                sums[c][dim] += coord[p] as u64;
-            }
+        // update: one pass over each coordinate column
+        counts.fill(0);
+        for &a in &assignments {
+            counts[a as usize] += 1;
         }
-        for c in 0..input.k {
-            for dim in 0..dims {
-                if let Some(mean) = sums[c][dim].checked_div(counts[c]) {
-                    centroids[c][dim] = mean as u16;
+        for (dim, coord) in input.coords.iter().enumerate() {
+            sums.fill(0);
+            for (&a, &v) in assignments.iter().zip(coord) {
+                sums[a as usize] += u64::from(v);
+            }
+            for (c, cent) in centroids.iter_mut().enumerate() {
+                if let Some(mean) = sums[c].checked_div(counts[c]) {
+                    cent[dim] = mean as u16;
                 }
             }
         }
@@ -607,6 +653,75 @@ mod tests {
         generate(32 * 1024, 8, 4, 2, 11)
     }
 
+    // ---- the scalar dimension-major trainer, kept as the oracle ----
+
+    fn oracle_assign_point(input: &KmeansInput, centroids: &[Vec<u16>], p: usize) -> u16 {
+        let mut best = u32::MAX;
+        let mut best_c = 0u16;
+        for (c, cent) in centroids.iter().enumerate() {
+            let mut dist = 0u32;
+            for (dim, coord) in input.coords.iter().enumerate() {
+                let d = coord[p] as i32 - cent[dim] as i32;
+                dist += (d * d) as u32;
+            }
+            if dist < best {
+                best = dist;
+                best_c = c as u16;
+            }
+        }
+        best_c
+    }
+
+    fn oracle_assign_points(input: &KmeansInput, centroids: &[Vec<u16>]) -> Vec<u16> {
+        (0..input.n_points())
+            .map(|p| oracle_assign_point(input, centroids, p))
+            .collect()
+    }
+
+    fn oracle_cpu(input: &KmeansInput) -> KmeansOutput {
+        let n = input.n_points();
+        let dims = input.dims();
+        let mut centroids = input.initial_centroids();
+        let mut assignments = vec![0u16; n];
+        for _ in 0..input.iters {
+            assignments = oracle_assign_points(input, &centroids);
+            // update
+            let mut sums = vec![vec![0u64; dims]; input.k];
+            let mut counts = vec![0u64; input.k];
+            for p in 0..n {
+                let c = assignments[p] as usize;
+                counts[c] += 1;
+                for (dim, coord) in input.coords.iter().enumerate() {
+                    sums[c][dim] += coord[p] as u64;
+                }
+            }
+            for c in 0..input.k {
+                for dim in 0..dims {
+                    if let Some(mean) = sums[c][dim].checked_div(counts[c]) {
+                        centroids[c][dim] = mean as u16;
+                    }
+                }
+            }
+        }
+        KmeansOutput {
+            centroids,
+            assignments,
+        }
+    }
+
+    #[test]
+    fn distances_are_exact_at_the_top_of_the_u16_range() {
+        // (65535, 363) lies 4,294,967,994 from (0, 0), past u32::MAX, and
+        // 417,994 from (65000, 0): a wrapping u32 sum would pick 0.
+        let input = KmeansInput {
+            coords: vec![vec![65535], vec![363]],
+            k: 2,
+            iters: 0,
+        };
+        let centroids = [vec![0, 0], vec![65000, 0]];
+        assert_eq!(assign_points(&input, &centroids, 1), vec![1]);
+    }
+
     #[test]
     fn cpu_mt_matches_single() {
         let input = small_input();
@@ -803,8 +918,33 @@ mod tests {
     }
 
     mod props {
-        use super::{apu, cpu, device, KmeansInput, OptConfig, COORD_MAX};
+        use super::{
+            apu, assign_points, cpu, cpu_mt, device, oracle_assign_points, oracle_cpu, KmeansInput,
+            OptConfig, BLOCK, COORD_MAX,
+        };
         use proptest::prelude::*;
+
+        /// `n` points of `dims` coordinates drawn from `palette`.
+        fn drawn_input(n: usize, dims: usize, k: usize, palette: &[u16], seed: u64) -> KmeansInput {
+            let mut state = seed;
+            let coords = (0..dims)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| {
+                            state = state
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            palette[(state >> 33) as usize % palette.len()]
+                        })
+                        .collect()
+                })
+                .collect();
+            KmeansInput {
+                coords,
+                k,
+                iters: 2,
+            }
+        }
 
         /// Duplicate-heavy device-shaped input: coordinates drawn from
         /// a small palette force duplicate points and empty clusters —
@@ -829,6 +969,45 @@ mod tests {
                 }
             }
             KmeansInput { coords, k, iters }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The blocked point-major sweep and the column update return
+            /// the scalar oracle's assignments and centroids: 0 or 1
+            /// point or a count that is not a multiple of the block, any
+            /// thread count, and coordinates from the IVF band (0..=12),
+            /// the 6-bit range, or a duplicate-heavy palette.
+            #[test]
+            fn blocked_trainer_matches_the_scalar_oracle(
+                dims in 1usize..=400,
+                k in 1usize..=64,
+                shape in (0usize..=5, 1usize..BLOCK),
+                threads in 1usize..=8,
+                range in 0u8..3,
+                picks in (proptest::collection::vec(0u16..=COORD_MAX, 1..=4), any::<u64>()),
+            ) {
+                let n = match shape.0 {
+                    0 => 0,
+                    1 => 1,
+                    blocks => (blocks - 2) * BLOCK + shape.1,
+                };
+                let palette: Vec<u16> = match range {
+                    0 => (0..=12).collect(),
+                    1 => (0..=COORD_MAX).collect(),
+                    _ => picks.0,
+                };
+                let input = drawn_input(n, dims, k, &palette, picks.1);
+                let expected = oracle_cpu(&input);
+                prop_assert_eq!(&cpu_mt(&input, threads), &expected);
+                for centroids in [input.initial_centroids(), expected.centroids.clone()] {
+                    prop_assert_eq!(
+                        assign_points(&input, &centroids, threads),
+                        oracle_assign_points(&input, &centroids)
+                    );
+                }
+            }
         }
 
         proptest! {

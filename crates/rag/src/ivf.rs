@@ -1,5 +1,4 @@
-//! IVF (inverted-file) approximate retrieval on the simulated device
-//! (ROADMAP item 3).
+//! IVF (inverted-file) approximate retrieval on the simulated device.
 //!
 //! The paper's RAG workload scans the whole corpus per query (exact
 //! flat search), which caps the servable corpus per device. An IVF
@@ -223,23 +222,33 @@ impl IvfIndex {
         let full = KmeansInput {
             coords,
             k: nlist,
-            iters: 0,
+            iters: TRAIN_ITERS,
         };
 
         // Fit on a deterministic stride subsample, sweep the full corpus.
-        let take = chunks.clamp(1, TRAIN_SUBSAMPLE);
-        let sample: Vec<usize> = (0..take).map(|i| i * chunks / take).collect();
-        let train_input = KmeansInput {
-            coords: full
-                .coords
-                .iter()
-                .map(|col| sample.iter().map(|&p| col[p]).collect())
-                .collect(),
-            k: nlist,
-            iters: TRAIN_ITERS,
+        // A subsample of every chunk is the corpus itself: fit on it
+        // directly instead of copying it.
+        let take = chunks.min(TRAIN_SUBSAMPLE);
+        let fitted = if take == chunks {
+            kmeans::cpu_mt(&full, threads)
+        } else {
+            let sample: Vec<usize> = (0..take).map(|i| i * chunks / take).collect();
+            kmeans::cpu_mt(
+                &KmeansInput {
+                    coords: full
+                        .coords
+                        .iter()
+                        .map(|col| sample.iter().map(|&p| col[p]).collect())
+                        .collect(),
+                    k: nlist,
+                    iters: TRAIN_ITERS,
+                },
+                threads,
+            )
         };
-        let fitted = kmeans::cpu_mt(&train_input, threads);
         let assignments = kmeans::assign_points(&full, &fitted.centroids, threads);
+        // The cluster slices below are another corpus-sized buffer.
+        drop(full);
 
         // Gather each cluster's embeddings into a contiguous slice.
         let mut ids: Vec<Vec<u32>> = vec![Vec::new(); nlist];
@@ -522,6 +531,34 @@ mod tests {
         assert!(search.hits[0].is_empty());
         assert_eq!(search.stats.clusters_scanned, 2);
         assert!(search.report.cycles > Cycles::ZERO);
+    }
+
+    /// FNV-1a over every cluster's length and ids, in cluster order, and
+    /// the centroid store.
+    fn digest(index: &IvfIndex) -> u64 {
+        let mut words = Vec::new();
+        for cluster in &index.clusters {
+            words.push(cluster.ids.len() as u64);
+            words.extend(cluster.ids.iter().map(|&id| u64::from(id)));
+        }
+        words.extend(index.centroids.raw().iter().map(|&v| u64::from(v as u16)));
+        crate::fnv1a(&words)
+    }
+
+    #[test]
+    fn build_is_pinned_on_fixed_clustered_corpora() {
+        // Values computed with the scalar dimension-major trainer. The
+        // second corpus is larger than the training subsample.
+        let small = IvfIndex::build(&clustered(4096, 16, 31).store, 16);
+        let large = IvfIndex::build(&clustered(TRAIN_SUBSAMPLE + 700, 8, 32).store, 4);
+        assert_eq!(digest(&small), 0x7151_33f1_c479_ed1b);
+        assert_eq!(digest(&large), 0x45c1_e3da_a32f_4cbd);
+    }
+
+    #[test]
+    fn an_empty_store_builds_one_empty_cluster() {
+        let index = IvfIndex::build(&clustered(0, 2, 3).store, 8);
+        assert_eq!((index.nlist(), index.cluster_len(0)), (1, 0));
     }
 
     #[test]

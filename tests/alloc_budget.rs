@@ -1,9 +1,10 @@
 //! Heap-allocation budgets for the simulator's hot loops: per vector
 //! command (`apu-sim`), per DRAM burst (`hbm-sim`) and per kernel plane
-//! (`rag`), and for the corpus, whose shards and snapshots share the
-//! caller's embedding buffer. A counting global allocator tallies
-//! allocations and their bytes per thread, so each check sees only its
-//! own work while other tests run in parallel.
+//! (`rag`), for the corpus, whose shards and snapshots share the
+//! caller's embedding buffer, and for the IVF build's training copy. A
+//! counting global allocator tallies allocations and their bytes per
+//! thread, so each check sees only its own work while other tests run
+//! in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,9 +12,10 @@ use std::hint::black_box;
 
 use apu_sim::{ApuDevice, ExecMode, SimConfig, VecOp};
 use hbm_sim::{DramSpec, MemorySystem};
-use rag::corpus::EMBED_DIM;
+use rag::corpus::{ClusteredCorpus, EMBED_DIM};
 use rag::{
-    retrieve_batch, CorpusSpec, EmbeddingStore, MutableCorpus, ServeConfig, ShardedRagServer,
+    retrieve_batch, CorpusSpec, EmbeddingStore, IvfIndex, MutableCorpus, ServeConfig,
+    ShardedRagServer,
 };
 
 struct CountingAlloc;
@@ -177,6 +179,57 @@ fn timing_only_batch_allocates_far_less_than_once_per_command() {
     assert!(
         n < commands / 20,
         "{n} allocations for {commands} vector commands"
+    );
+}
+
+#[test]
+fn functional_batch_moves_data_without_per_call_copies() {
+    // `ann_ivf`'s kernel shape: 512-lane VRs, one short tile, a full
+    // batch. L2 → L1 DMA, VR loads, masked copies and subgroup
+    // reductions move data in place; what remains is one staging buffer
+    // per plane and the top-k bookkeeping.
+    let cfg = SimConfig {
+        vr_len: 512,
+        ..SimConfig::default()
+    }
+    .with_l4_bytes(8 << 20);
+    let store = EmbeddingStore::materialized(
+        CorpusSpec {
+            corpus_bytes: 0,
+            chunks: 256,
+        },
+        5,
+    );
+    let mut dev = ApuDevice::new(cfg);
+    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
+    let queries: Vec<Vec<i16>> = (0..12).map(|i| store.query(i)).collect();
+    let (batch, n) = allocations(|| retrieve_batch(&mut dev, &mut hbm, &store, &queries, 10));
+    assert!(batch.unwrap().hits.iter().all(|h| h.len() == 10));
+    let planes = (EMBED_DIM / 2) as u64;
+    assert!(n <= 2 * planes, "{n} allocations for {planes} planes");
+}
+
+#[test]
+fn ivf_build_keeps_one_training_copy() {
+    // The trainer's dimension-major copy of the corpus is freed before
+    // the clusters gather their contiguous slices, and a stride
+    // subsample that covers every chunk is not copied again.
+    let corpus = ClusteredCorpus::new(
+        CorpusSpec {
+            corpus_bytes: 0,
+            chunks: 4_096,
+        },
+        16,
+        1,
+        7,
+    );
+    let embedding_bytes = corpus.store.spec().embedding_bytes();
+    let (index, bytes) = allocated_bytes(|| IvfIndex::build(&corpus.store, 16));
+    assert_eq!(index.nlist(), 16);
+    assert!(
+        bytes * 2 <= embedding_bytes * 5,
+        "{bytes} B for {embedding_bytes} B of embeddings ({:.2}x)",
+        bytes as f64 / embedding_bytes as f64
     );
 }
 
