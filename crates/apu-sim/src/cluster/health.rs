@@ -1,5 +1,5 @@
-//! Replica health tracking: marks devices down after consecutive
-//! device-attributable failures so the router steers reads around them.
+//! Replica health tracking: marks a device down on its first
+//! device-attributable failure so reads are routed around it.
 //!
 //! Only *device-attributable* outcomes feed the tracker — injected
 //! faults and task failures ([`Error::is_transient`](crate::Error::is_transient)).
@@ -14,39 +14,24 @@
 /// Per-device health state machine for a replicated cluster.
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
-    down_after: u32,
     states: Vec<ReplicaState>,
     transitions: u64,
 }
 
 #[derive(Debug, Clone, Default)]
 struct ReplicaState {
-    consecutive: u32,
     down: bool,
     failures: u64,
     successes: u64,
 }
 
 impl HealthTracker {
-    /// Tracker over `devices` replicas that marks a device down after a
-    /// single device-attributable failure (threshold 1).
+    /// Tracker over `devices` replicas, all up.
     pub fn new(devices: usize) -> Self {
-        Self::with_threshold(devices, 1)
-    }
-
-    /// Tracker that tolerates `down_after - 1` consecutive failures
-    /// before marking a device down. A threshold of 0 is clamped to 1.
-    pub fn with_threshold(devices: usize, down_after: u32) -> Self {
         HealthTracker {
-            down_after: down_after.max(1),
             states: vec![ReplicaState::default(); devices],
             transitions: 0,
         }
-    }
-
-    /// Number of devices tracked.
-    pub fn devices(&self) -> usize {
-        self.states.len()
     }
 
     /// Whether `device` is currently considered servable.
@@ -58,44 +43,34 @@ impl HealthTracker {
         !self.states[device].down
     }
 
-    /// Records a successful completion: resets the failure streak and
-    /// revives the device if it was down.
+    /// Records a successful completion: revives the device if it was
+    /// down.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device` is out of range.
     pub fn record_success(&mut self, device: usize) {
         let st = &mut self.states[device];
-        st.consecutive = 0;
         st.down = false;
         st.successes += 1;
     }
 
-    /// Records a device-attributable failure. Returns `true` exactly
-    /// when this failure transitions the device from up to down.
+    /// Records a device-attributable failure and marks the device down.
+    /// Returns `true` exactly when this failure transitions the device
+    /// from up to down.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device` is out of range.
     pub fn record_failure(&mut self, device: usize) -> bool {
         let st = &mut self.states[device];
         st.failures += 1;
-        st.consecutive += 1;
-        if !st.down && st.consecutive >= self.down_after {
-            st.down = true;
-            self.transitions += 1;
-            return true;
+        if st.down {
+            return false;
         }
-        false
-    }
-
-    /// Administratively revives a device (elastic re-add / repair).
-    pub fn revive(&mut self, device: usize) {
-        let st = &mut self.states[device];
-        st.consecutive = 0;
-        st.down = false;
-    }
-
-    /// Devices currently marked down, in index order.
-    pub fn down_devices(&self) -> Vec<usize> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| st.down)
-            .map(|(d, _)| d)
-            .collect()
+        st.down = true;
+        self.transitions += 1;
+        true
     }
 
     /// Total up→down transitions observed over the tracker's lifetime
@@ -105,6 +80,10 @@ impl HealthTracker {
     }
 
     /// Lifetime `(successes, failures)` recorded for `device`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device` is out of range.
     pub fn totals(&self, device: usize) -> (u64, u64) {
         let st = &self.states[device];
         (st.successes, st.failures)
@@ -116,27 +95,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_failure_downs_at_the_default_threshold() {
+    fn one_failure_downs_a_device() {
         let mut h = HealthTracker::new(2);
         assert!(h.is_up(0) && h.is_up(1));
         assert!(h.record_failure(0));
         assert!(!h.is_up(0));
         assert!(h.is_up(1));
-        assert_eq!(h.down_devices(), vec![0]);
         assert_eq!(h.down_transitions(), 1);
     }
 
     #[test]
-    fn a_success_revives_and_resets_the_streak() {
-        let mut h = HealthTracker::with_threshold(1, 2);
-        assert!(!h.record_failure(0));
-        h.record_success(0);
-        assert!(!h.record_failure(0)); // streak restarted
+    fn a_success_revives() {
+        let mut h = HealthTracker::new(1);
         assert!(h.record_failure(0));
-        assert!(!h.is_up(0));
         h.record_success(0);
         assert!(h.is_up(0));
-        assert_eq!(h.totals(0), (2, 3));
+        assert!(h.record_failure(0), "a revived device goes down again");
+        assert_eq!(h.totals(0), (1, 2));
+        assert_eq!(h.down_transitions(), 2);
     }
 
     #[test]

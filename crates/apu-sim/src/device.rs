@@ -56,20 +56,6 @@ impl TaskReport {
         self.cores_used = self.cores_used.max(other.cores_used);
         self
     }
-
-    /// Combines two reports for tasks that ran *concurrently* (e.g. on
-    /// disjoint cores): elapsed time is the maximum of the two, not the
-    /// sum, while work (statistics) and core counts accumulate.
-    ///
-    /// Use [`TaskReport::chain`] only for back-to-back phases; chaining
-    /// concurrent reports double-counts elapsed time.
-    pub fn join_concurrent(mut self, other: &TaskReport) -> TaskReport {
-        self.cycles = self.cycles.max(other.cycles);
-        self.duration = self.duration.max(other.duration);
-        self.stats.merge(&other.stats);
-        self.cores_used += other.cores_used;
-        self
-    }
 }
 
 /// A boxed per-core kernel, as submitted to [`ApuDevice::run_parallel`].
@@ -740,30 +726,6 @@ mod tests {
         let c = a.clone().chain(&b);
         assert_eq!(c.cycles, a.cycles + b.cycles);
         assert_eq!(c.stats.commands, 2);
-    }
-
-    #[test]
-    fn task_report_join_concurrent_takes_max_time() {
-        let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(1 << 20));
-        let a = dev
-            .run_task(|ctx| {
-                ctx.core_mut().charge(crate::timing::VecOp::DivS16); // long
-                Ok(())
-            })
-            .unwrap();
-        let b = dev
-            .run_task_on(1, |ctx| {
-                ctx.core_mut().charge(crate::timing::VecOp::Or16); // short
-                Ok(())
-            })
-            .unwrap();
-        let j = a.clone().join_concurrent(&b);
-        assert_eq!(j.cycles, a.cycles.max(b.cycles));
-        assert_eq!(j.duration, a.duration.max(b.duration));
-        assert_eq!(j.cores_used, 2);
-        assert_eq!(j.stats.commands, 2);
-        // Chaining the same two reports double-counts elapsed time.
-        assert!(a.clone().chain(&b).cycles > j.cycles);
     }
 
     #[test]

@@ -88,10 +88,7 @@ pub mod trace;
 pub mod workload;
 
 pub use clock::{Cycles, Frequency};
-pub use cluster::{
-    key_shard, ClusterHandle, ClusterReport, DeviceCluster, HealthTracker, Placement, RoutePolicy,
-    ShardDrain,
-};
+pub use cluster::{DeviceCluster, HealthTracker};
 pub use config::{fast_forward_from_env, ExecMode, SimConfig};
 pub use core::{ApuCore, Marker, Vmr, Vr};
 pub use device::{ApuContext, ApuDevice, CoreTask, MemoCounters, TaskReport};

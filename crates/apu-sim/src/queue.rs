@@ -79,7 +79,7 @@ use crate::clock::Cycles;
 use crate::device::{ApuDevice, TaskReport};
 use crate::error::Error;
 use crate::spec::{AdmissionControl, SchedPolicy, TaskSpec, TenantId};
-use crate::stats::{LatencyReservoir, StageBreakdown, VcuStats, DEFAULT_RESERVOIR_CAP};
+use crate::stats::{StageBreakdown, VcuStats};
 use crate::trace::{FaultScope, TraceEvent, TraceEventKind};
 use crate::Result;
 
@@ -182,9 +182,6 @@ pub struct QueueConfig {
     /// Retry policy for transient pre-dispatch failures; `None` — the
     /// default — retires them immediately as error completions.
     pub retry: Option<RetryPolicy>,
-    /// Capacity of the latency reservoir backing percentile reporting
-    /// (exact below the cap, deterministic subsample above it).
-    pub latency_reservoir: usize,
     /// Dispatch-ordering policy. The default [`SchedPolicy::Fifo`] is
     /// byte-exact with the historical scheduler; [`SchedPolicy::SloAware`]
     /// adds weighted fair-share dequeue and deadline awareness.
@@ -210,7 +207,6 @@ impl Default for QueueConfig {
             max_batch: 1,
             max_batch_wait: Duration::ZERO,
             retry: None,
-            latency_reservoir: DEFAULT_RESERVOIR_CAP,
             scheduler: SchedPolicy::default(),
             tenant_weights: BTreeMap::new(),
             tenant_labels: BTreeMap::new(),
@@ -245,13 +241,6 @@ impl QueueConfig {
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = Some(retry);
-        self
-    }
-
-    /// Sets the latency-reservoir capacity (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_latency_reservoir(mut self, cap: usize) -> Self {
-        self.latency_reservoir = cap.max(1);
         self
     }
 
@@ -516,7 +505,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     /// Opens a queue over a device.
     pub fn new(dev: &'d mut ApuDevice, cfg: QueueConfig) -> Self {
         let cores = dev.config().cores;
-        let reservoir = cfg.latency_reservoir;
         let tenant_names = cfg.tenant_labels.clone();
         DeviceQueue {
             dev,
@@ -528,7 +516,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             next_dispatch: 0,
             stats: QueueStats {
                 cores,
-                latency_samples: LatencyReservoir::with_capacity(reservoir),
                 tenant_names,
                 ..QueueStats::default()
             },
@@ -541,13 +528,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     /// dispatches).
     pub fn device_mut(&mut self) -> &mut ApuDevice {
         self.dev
-    }
-
-    /// Enables or disables timing fast-forward on the underlying device
-    /// (see [`ApuDevice::run_task_memoized`]): replayed dispatches charge
-    /// a memoized cycle total instead of re-walking their kernels.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.dev.set_fast_forward(on);
     }
 
     /// Converts a virtual-timeline instant to device cycles, the trace
@@ -583,9 +563,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     /// point of the submission API. Build the spec with
     /// [`TaskSpec::job`] / [`TaskSpec::typed`] / [`TaskSpec::kernel`] /
     /// [`TaskSpec::batch`] and compose priority, tenant, arrival,
-    /// TTL/deadline, and weight freely. A shard pin
-    /// ([`TaskSpec::on_shard`]) is ignored here: a single queue has no
-    /// placement choice (see [`crate::DeviceCluster::submit`]).
+    /// TTL/deadline, and weight freely.
     ///
     /// # Errors
     ///
@@ -608,7 +586,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             tenant,
             deadline,
             weight,
-            shard: _,
             work,
         } = spec;
         let handle = TaskHandle(self.next_id);

@@ -3,9 +3,10 @@
 //! [`TaskSpec`] is the one way to submit work to a
 //! [`crate::DeviceQueue`] or [`crate::DeviceCluster`]: every submission
 //! option — [`Priority`] class, tenant, arrival time, TTL/deadline,
-//! logical weight, [`BatchKey`], shard pinning — composes freely on one
-//! builder. Every spec describes a batch member: a plain job is a
-//! runner with one output and no key, so it always dispatches alone.
+//! logical weight, [`BatchKey`] — composes freely on one builder. A
+//! cluster submission names its device as a separate argument. Every
+//! spec describes a batch member: a plain job is a runner with one
+//! output and no key, so it always dispatches alone.
 //!
 //! ```
 //! use apu_sim::{ApuDevice, DeviceQueue, Priority, QueueConfig, SimConfig, TaskSpec, TenantId};
@@ -120,7 +121,6 @@ pub struct TaskSpec<'t> {
     pub(crate) tenant: TenantId,
     pub(crate) deadline: Option<Duration>,
     pub(crate) weight: u64,
-    pub(crate) shard: Option<usize>,
     pub(crate) work: Work<'t>,
 }
 
@@ -132,7 +132,6 @@ impl std::fmt::Debug for TaskSpec<'_> {
             .field("tenant", &self.tenant)
             .field("deadline", &self.deadline)
             .field("weight", &self.weight)
-            .field("shard", &self.shard)
             .field("batch_key", &self.batch_key())
             .finish_non_exhaustive()
     }
@@ -146,13 +145,12 @@ impl<'t> TaskSpec<'t> {
             tenant: TenantId::default(),
             deadline: None,
             weight: 1,
-            shard: None,
             work,
         }
     }
 
     /// A spec around a boxed raw [`Job`] (defaults: `Normal` priority,
-    /// arrival now, tenant 0, no deadline, weight 1, unpinned). The job
+    /// arrival now, tenant 0, no deadline, weight 1). The job
     /// runs as a batch of one with no key.
     pub fn job(job: Job<'t>) -> Self {
         Self::with_work(Work {
@@ -246,16 +244,6 @@ impl<'t> TaskSpec<'t> {
         self
     }
 
-    /// Pins the task to a cluster shard. [`crate::DeviceCluster::submit`]
-    /// bypasses its routing policy for pinned specs;
-    /// [`crate::DeviceQueue::submit`] ignores the pin (a single queue
-    /// has no placement choice).
-    #[must_use]
-    pub fn on_shard(mut self, shard: usize) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
     /// The batch-compatibility key, for batchable specs.
     pub fn batch_key(&self) -> Option<BatchKey> {
         self.work.key
@@ -274,7 +262,6 @@ mod tests {
         assert_eq!(spec.tenant, TenantId::default());
         assert_eq!(spec.deadline, None);
         assert_eq!(spec.weight, 1);
-        assert_eq!(spec.shard, None);
         assert!(spec.batch_key().is_none());
 
         let spec = spec
@@ -282,13 +269,11 @@ mod tests {
             .at(Duration::from_micros(10))
             .tenant(TenantId::new(3))
             .ttl(Duration::from_micros(5))
-            .weight(4)
-            .on_shard(2);
+            .weight(4);
         assert_eq!(spec.priority, Priority::High);
         assert_eq!(spec.tenant.get(), 3);
         assert_eq!(spec.deadline, Some(Duration::from_micros(15)));
         assert_eq!(spec.weight, 4);
-        assert_eq!(spec.shard, Some(2));
     }
 
     #[test]

@@ -542,9 +542,9 @@ impl QueueStats {
         }
     }
 
-    /// Folds another queue's counters into this block — the cluster-level
-    /// aggregation used by [`crate::DeviceCluster`] and the sharded
-    /// serving report.
+    /// Folds another queue's counters into this block — the fleet-level
+    /// aggregation behind the sharded serving report's merged queue
+    /// counters.
     ///
     /// Aggregation semantics per field class:
     ///

@@ -21,7 +21,7 @@
 //! streamed data directly into each core's L2 (zero APU-side charge) and
 //! the APU pays the on-chip L2→L1→VR movement and all compute.
 
-use apu_sim::{ApuContext, ApuDevice, CoreTask, Cycles, Error, TaskReport, Vmr, Vr};
+use apu_sim::{ApuContext, ApuDevice, Cycles, Error, TaskReport, Vmr, Vr};
 use gvml::prelude::*;
 use hbm_sim::MemorySystem;
 use serde::{Deserialize, Serialize};
@@ -240,88 +240,62 @@ impl ApuRetriever {
         // The paper's retrieval kernel issues one vector-command stream
         // (its no-opt 200 GB distance time matches a single-core issue
         // rate almost exactly); mirror that.
-        let cores = 1usize;
-        let per_core = n_passes.div_ceil(cores);
-        let mut partials: Vec<Vec<Hit>> = vec![Vec::new(); cores];
-        let mut dist_cycles = Cycles::ZERO;
+        let mut hits: Vec<Hit> = Vec::new();
         let mut query_cycles = Cycles::ZERO;
-        let report = {
-            let make_pass = &make_pass;
-            let variant = self.variant;
-            let partial_refs: Vec<&mut Vec<Hit>> = partials.iter_mut().collect();
-            let mut tasks: Vec<CoreTask<'_>> = Vec::new();
-            let dist_ref = &mut dist_cycles;
-            let query_ref = &mut query_cycles;
-            // Collect per-core stage cycles through shared cells.
-            let dist_acc = std::cell::RefCell::new((Cycles::ZERO, Cycles::ZERO));
-            let dist_acc_ref = &dist_acc;
-            for (core_id, slot) in partial_refs.into_iter().enumerate() {
-                let lo = core_id * per_core;
-                let hi = ((core_id + 1) * per_core).min(n_passes);
-                tasks.push(Box::new(move |ctx: &mut ApuContext<'_>| {
-                    let t0 = ctx.core().cycles();
-                    // query staging: small DMA-class transfer + pattern
-                    // lookup tables in L3
-                    stage_query_spatial(ctx, query, packed, variant.imm_broadcast())?;
-                    let tq = ctx.core().cycles() - t0;
-                    let t1 = ctx.core().cycles();
-                    for pass in lo..hi {
-                        inject_l2(ctx, || make_pass(pass))?;
-                        ctx.dma_l2_to_l1(Vmr::new(47))?;
-                        ctx.load(VR_PLANE, Vmr::new(47))?;
-                        let core = ctx.core_mut();
-                        if packed {
-                            // unpack biased bytes and form partial products
-                            core.cpy_imm_16(VR_CONST, 0x00FF)?;
-                            core.and_16(VR_T, VR_PLANE, VR_CONST)?;
-                            core.sr_imm_u16(VR_T2, VR_PLANE, 8)?;
-                            core.cpy_imm_16(VR_CONST, 6)?;
-                            core.sub_s16(VR_T, VR_T, VR_CONST)?;
-                            core.sub_s16(VR_T2, VR_T2, VR_CONST)?;
-                            core.mul_s16(VR_T, VR_T, VR_Q)?;
-                            core.mul_s16(VR_T2, VR_T2, VR_Q2)?;
-                            core.add_s16(VR_T, VR_T, VR_T2)?;
-                        } else {
-                            core.mul_s16(VR_T, VR_PLANE, VR_Q)?;
-                        }
-                        core.add_subgrp_s16(VR_T, VR_T, group, group)?;
-                        // scattered score extraction
-                        let pairs: Vec<(usize, usize)> = (0..chunks_per_pass)
-                            .map(|s| s * group)
-                            .map(|p| (p, p))
-                            .collect();
-                        let mut scores = Vec::with_capacity(chunks_per_pass);
-                        for (_, src) in &pairs {
-                            scores.push(ctx.pio_get(VR_T, *src)?);
-                        }
-                        for (s, v) in scores.into_iter().enumerate() {
-                            let c = pass * chunks_per_pass + s;
-                            if c < n_chunks {
-                                slot.push(Hit {
-                                    chunk: c as u32,
-                                    score: (v as i16) as i32,
-                                });
-                            }
-                        }
-                        *slot = top_k(std::mem::take(slot), k);
+        let mut dist_cycles = Cycles::ZERO;
+        let report = dev.run_task(|ctx| {
+            let t0 = ctx.core().cycles();
+            // query staging: small DMA-class transfer + pattern lookup
+            // tables in L3
+            stage_query_spatial(ctx, query, packed, self.variant.imm_broadcast())?;
+            query_cycles = ctx.core().cycles() - t0;
+            let t1 = ctx.core().cycles();
+            for pass in 0..n_passes {
+                inject_l2(ctx, || make_pass(pass))?;
+                ctx.dma_l2_to_l1(Vmr::new(47))?;
+                ctx.load(VR_PLANE, Vmr::new(47))?;
+                let core = ctx.core_mut();
+                if packed {
+                    // unpack biased bytes and form partial products
+                    core.cpy_imm_16(VR_CONST, 0x00FF)?;
+                    core.and_16(VR_T, VR_PLANE, VR_CONST)?;
+                    core.sr_imm_u16(VR_T2, VR_PLANE, 8)?;
+                    core.cpy_imm_16(VR_CONST, 6)?;
+                    core.sub_s16(VR_T, VR_T, VR_CONST)?;
+                    core.sub_s16(VR_T2, VR_T2, VR_CONST)?;
+                    core.mul_s16(VR_T, VR_T, VR_Q)?;
+                    core.mul_s16(VR_T2, VR_T2, VR_Q2)?;
+                    core.add_s16(VR_T, VR_T, VR_T2)?;
+                } else {
+                    core.mul_s16(VR_T, VR_PLANE, VR_Q)?;
+                }
+                core.add_subgrp_s16(VR_T, VR_T, group, group)?;
+                // scattered score extraction
+                let pairs: Vec<(usize, usize)> = (0..chunks_per_pass)
+                    .map(|s| s * group)
+                    .map(|p| (p, p))
+                    .collect();
+                let mut scores = Vec::with_capacity(chunks_per_pass);
+                for (_, src) in &pairs {
+                    scores.push(ctx.pio_get(VR_T, *src)?);
+                }
+                for (s, v) in scores.into_iter().enumerate() {
+                    let c = pass * chunks_per_pass + s;
+                    if c < n_chunks {
+                        hits.push(Hit {
+                            chunk: c as u32,
+                            score: (v as i16) as i32,
+                        });
                     }
-                    let td = ctx.core().cycles() - t1;
-                    let mut acc = dist_acc_ref.borrow_mut();
-                    acc.0 = acc.0.max(tq);
-                    acc.1 = acc.1.max(td);
-                    Ok(())
-                }));
+                }
+                hits = top_k(std::mem::take(&mut hits), k);
             }
-            let report = dev.run_parallel(tasks)?;
-            let acc = dist_acc.borrow();
-            *query_ref = acc.0;
-            *dist_ref = acc.1;
-            report
-        };
+            dist_cycles = ctx.core().cycles() - t1;
+            Ok(())
+        })?;
         breakdown.load_query_us = clock.cycles_to_secs(query_cycles) * 1e6;
         breakdown.calc_distance_ms = clock.cycles_to_secs(dist_cycles) * 1e3;
         breakdown.topk_ms = 0.0; // merged on the CP during extraction
-        let hits = top_k(partials.into_iter().flatten().collect(), k);
         Ok((hits, report))
     }
 
@@ -361,95 +335,77 @@ impl ApuRetriever {
         };
 
         // Single command stream, as in the paper (see run_spatial).
-        let cores = 1usize;
-        let per_core = n_tiles.div_ceil(cores);
-        let mut partials: Vec<Vec<Hit>> = vec![Vec::new(); cores];
-        let stage_acc = std::cell::RefCell::new((Cycles::ZERO, Cycles::ZERO, Cycles::ZERO));
-        let report = {
-            let make_plane = &make_plane;
-            let stage_ref = &stage_acc;
-            let mut tasks: Vec<CoreTask<'_>> = Vec::new();
-            for (core_id, slot) in partials.iter_mut().enumerate() {
-                let lo = core_id * per_core;
-                let hi = ((core_id + 1) * per_core).min(n_tiles);
-                tasks.push(Box::new(move |ctx: &mut ApuContext<'_>| {
-                    let t0 = ctx.core().cycles();
-                    stage_query_temporal(ctx, query, imm)?;
-                    let tq = ctx.core().cycles() - t0;
-                    let mut td = Cycles::ZERO;
-                    let mut tt = Cycles::ZERO;
-                    for tile in lo..hi {
-                        let t1 = ctx.core().cycles();
-                        ctx.core_mut().cpy_imm_16(VR_ACC, 0)?;
-                        let dims = if packed { EMBED_DIM / 2 } else { EMBED_DIM };
-                        for d in 0..dims {
-                            inject_l2(ctx, || make_plane(tile, d))?;
-                            ctx.dma_l2_to_l1(Vmr::new(47))?;
-                            ctx.load(VR_PLANE, Vmr::new(47))?;
-                            if packed {
-                                broadcast_q(ctx, query[2 * d], imm, VR_Q)?;
-                                broadcast_q(ctx, query[2 * d + 1], imm, VR_Q2)?;
-                                let core = ctx.core_mut();
-                                core.cpy_imm_16(VR_CONST, 0x00FF)?;
-                                core.and_16(VR_T, VR_PLANE, VR_CONST)?;
-                                core.sr_imm_u16(VR_T2, VR_PLANE, 8)?;
-                                core.cpy_imm_16(VR_CONST, 6)?;
-                                core.sub_s16(VR_T, VR_T, VR_CONST)?;
-                                core.sub_s16(VR_T2, VR_T2, VR_CONST)?;
-                                core.mul_s16(VR_T, VR_T, VR_Q)?;
-                                core.mul_s16(VR_T2, VR_T2, VR_Q2)?;
-                                core.add_s16(VR_ACC, VR_ACC, VR_T)?;
-                                core.add_s16(VR_ACC, VR_ACC, VR_T2)?;
-                            } else {
-                                broadcast_q(ctx, query[d], imm, VR_Q)?;
-                                let core = ctx.core_mut();
-                                core.mul_s16(VR_T, VR_PLANE, VR_Q)?;
-                                core.add_s16(VR_ACC, VR_ACC, VR_T)?;
-                            }
-                        }
-                        td += ctx.core().cycles() - t1;
-
-                        // ---- per-tile top-k ----
-                        let t2 = ctx.core().cycles();
+        let mut hits: Vec<Hit> = Vec::new();
+        let mut query_cycles = Cycles::ZERO;
+        let mut dist_cycles = Cycles::ZERO;
+        let mut topk_cycles = Cycles::ZERO;
+        let report = dev.run_task(|ctx| {
+            let t0 = ctx.core().cycles();
+            stage_query_temporal(ctx, query, imm)?;
+            query_cycles = ctx.core().cycles() - t0;
+            for tile in 0..n_tiles {
+                let t1 = ctx.core().cycles();
+                ctx.core_mut().cpy_imm_16(VR_ACC, 0)?;
+                let dims = if packed { EMBED_DIM / 2 } else { EMBED_DIM };
+                for d in 0..dims {
+                    inject_l2(ctx, || make_plane(tile, d))?;
+                    ctx.dma_l2_to_l1(Vmr::new(47))?;
+                    ctx.load(VR_PLANE, Vmr::new(47))?;
+                    if packed {
+                        broadcast_q(ctx, query[2 * d], imm, VR_Q)?;
+                        broadcast_q(ctx, query[2 * d + 1], imm, VR_Q2)?;
                         let core = ctx.core_mut();
-                        core.cpy_imm_16(VR_CONST, SCORE_BIAS)?;
-                        core.add_u16(VR_ACC, VR_ACC, VR_CONST)?;
-                        // zero out lanes past the corpus on the last tile
-                        let valid = (n_chunks - tile * l).min(l);
-                        if valid < l {
-                            core.create_index_u16(VR_IDX)?;
-                            core.cpy_imm_16(VR_T, valid as u16)?;
-                            core.ge_u16(M0, VR_IDX, VR_T)?;
-                            core.cpy_imm_16_msk(VR_ACC, 0, M0)?;
-                        }
-                        core.create_index_u16(VR_IDX)?;
-                        let cands = tile_top_k(ctx, k)?;
-                        for (tag, biased) in cands {
-                            let c = tile * l + tag as usize;
-                            if c < n_chunks && biased > 0 {
-                                slot.push(Hit {
-                                    chunk: c as u32,
-                                    score: biased as i32 - SCORE_BIAS as i32,
-                                });
-                            }
-                        }
-                        *slot = top_k(std::mem::take(slot), k);
-                        tt += ctx.core().cycles() - t2;
+                        core.cpy_imm_16(VR_CONST, 0x00FF)?;
+                        core.and_16(VR_T, VR_PLANE, VR_CONST)?;
+                        core.sr_imm_u16(VR_T2, VR_PLANE, 8)?;
+                        core.cpy_imm_16(VR_CONST, 6)?;
+                        core.sub_s16(VR_T, VR_T, VR_CONST)?;
+                        core.sub_s16(VR_T2, VR_T2, VR_CONST)?;
+                        core.mul_s16(VR_T, VR_T, VR_Q)?;
+                        core.mul_s16(VR_T2, VR_T2, VR_Q2)?;
+                        core.add_s16(VR_ACC, VR_ACC, VR_T)?;
+                        core.add_s16(VR_ACC, VR_ACC, VR_T2)?;
+                    } else {
+                        broadcast_q(ctx, query[d], imm, VR_Q)?;
+                        let core = ctx.core_mut();
+                        core.mul_s16(VR_T, VR_PLANE, VR_Q)?;
+                        core.add_s16(VR_ACC, VR_ACC, VR_T)?;
                     }
-                    let mut acc = stage_ref.borrow_mut();
-                    acc.0 = acc.0.max(tq);
-                    acc.1 = acc.1.max(td);
-                    acc.2 = acc.2.max(tt);
-                    Ok(())
-                }));
+                }
+                dist_cycles += ctx.core().cycles() - t1;
+
+                // ---- per-tile top-k ----
+                let t2 = ctx.core().cycles();
+                let core = ctx.core_mut();
+                core.cpy_imm_16(VR_CONST, SCORE_BIAS)?;
+                core.add_u16(VR_ACC, VR_ACC, VR_CONST)?;
+                // zero out lanes past the corpus on the last tile
+                let valid = (n_chunks - tile * l).min(l);
+                if valid < l {
+                    core.create_index_u16(VR_IDX)?;
+                    core.cpy_imm_16(VR_T, valid as u16)?;
+                    core.ge_u16(M0, VR_IDX, VR_T)?;
+                    core.cpy_imm_16_msk(VR_ACC, 0, M0)?;
+                }
+                core.create_index_u16(VR_IDX)?;
+                let cands = tile_top_k(ctx, k)?;
+                for (tag, biased) in cands {
+                    let c = tile * l + tag as usize;
+                    if c < n_chunks && biased > 0 {
+                        hits.push(Hit {
+                            chunk: c as u32,
+                            score: biased as i32 - SCORE_BIAS as i32,
+                        });
+                    }
+                }
+                hits = top_k(std::mem::take(&mut hits), k);
+                topk_cycles += ctx.core().cycles() - t2;
             }
-            dev.run_parallel(tasks)?
-        };
-        let acc = stage_acc.borrow();
-        breakdown.load_query_us = clock.cycles_to_secs(acc.0) * 1e6;
-        breakdown.calc_distance_ms = clock.cycles_to_secs(acc.1) * 1e3;
-        breakdown.topk_ms = clock.cycles_to_secs(acc.2) * 1e3;
-        let hits = top_k(partials.into_iter().flatten().collect(), k);
+            Ok(())
+        })?;
+        breakdown.load_query_us = clock.cycles_to_secs(query_cycles) * 1e6;
+        breakdown.calc_distance_ms = clock.cycles_to_secs(dist_cycles) * 1e3;
+        breakdown.topk_ms = clock.cycles_to_secs(topk_cycles) * 1e3;
         Ok((hits, report))
     }
 }

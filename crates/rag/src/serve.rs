@@ -30,9 +30,10 @@
 //! shards, flagged via [`QueryCompletion::is_degraded`] — instead of
 //! failing them.
 //!
-//! With [`ServeConfig::replicas`] ≥ 2 every corpus shard is held by a
-//! *replica set* of devices (an [`apu_sim::Placement`] over
-//! `shards × replicas` device queues). Reads load-balance across the
+//! Every shard task names its device. With [`ServeConfig::replicas`]
+//! ≥ 2 every corpus shard is held by a *replica set* of devices:
+//! replica `r` of shard `s` is device `s * replicas + r` of the
+//! `shards × replicas` devices. Reads load-balance across the
 //! healthy members of each set; when a replica faults, the drain loop
 //! transparently resubmits the lost `(query, shard)` pieces on the
 //! surviving members ([`DeviceCluster::submit_failover`]) with the
@@ -51,8 +52,8 @@ use apu_sim::queue::percentile;
 use apu_sim::trace::prometheus_text;
 use apu_sim::{
     chrome_trace_json_grouped, ApuDevice, ChromeTraceSink, Completion, DeviceCluster, Error,
-    FaultPlan, Placement, Priority, QueueConfig, QueueStats, RetryPolicy, RoutePolicy, SimConfig,
-    StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
+    FaultPlan, Priority, QueueConfig, QueueStats, RetryPolicy, SimConfig, StageBreakdown,
+    TaskHandle, TaskSpec, TenantId, TraceEvent,
 };
 use hbm_sim::{DramSpec, MemorySystem};
 
@@ -630,7 +631,6 @@ struct PendingQuery {
 pub struct ShardedRagServer {
     devices: Vec<ApuDevice>,
     hbms: Vec<MemorySystem>,
-    placement: Placement,
     replicas: usize,
     cfg: ServeConfig,
     pending: Vec<PendingQuery>,
@@ -676,7 +676,6 @@ impl ShardedRagServer {
         let replicas = cfg.replicas.max(1);
         let corpus = MutableCorpus::new(store, shards);
         let n_devices = corpus.shard_count() * replicas;
-        let placement = Placement::new(corpus.shard_count(), replicas, n_devices)?;
         let mut devices = Vec::with_capacity(n_devices);
         let mut hbms = Vec::with_capacity(n_devices);
         for _ in 0..n_devices {
@@ -686,7 +685,6 @@ impl ShardedRagServer {
         Ok(ShardedRagServer {
             devices,
             hbms,
-            placement,
             replicas,
             cfg,
             pending: Vec::new(),
@@ -861,8 +859,8 @@ impl ShardedRagServer {
     ///
     /// Panics if `shard` or `replica` is out of range.
     pub fn replica_device_mut(&mut self, shard: usize, replica: usize) -> &mut ApuDevice {
-        let device = self.placement.replicas(shard)[replica];
-        &mut self.devices[device]
+        let r = self.replicas;
+        &mut self.devices[shard * r..(shard + 1) * r][replica]
     }
 
     /// Arms fault injection on the device of a shard's **first**
@@ -927,10 +925,7 @@ impl ShardedRagServer {
                 if self.replicas == 1 {
                     format!("shard {d}")
                 } else {
-                    let (s, r) = self
-                        .placement
-                        .locate(d)
-                        .expect("every device holds a replica");
+                    let (s, r) = (d / self.replicas, d % self.replicas);
                     format!("shard {s} replica {r}")
                 }
             })
@@ -1028,10 +1023,14 @@ impl ShardedRagServer {
         let k = self.cfg.k;
         let n_shards = self.corpus.shard_count();
         let n_devices = self.devices.len();
+        // Admission already happened per query at submit; the fan-out
+        // (one copy per shard, plus hedge copies) must not be refused
+        // again, or admitted queries would vanish uncounted.
         let mut queue_cfg = self
             .cfg
             .queue
             .clone()
+            .with_max_pending(usize::MAX)
             .with_max_batch(self.cfg.max_batch.clamp(1, MAX_BATCH))
             .with_max_batch_wait(self.cfg.batch_window);
         if let Some(policy) = self.cfg.retry {
@@ -1115,17 +1114,11 @@ impl ShardedRagServer {
         // cells, so they must outlive the cluster that owns the closures.
         let hbm_cells: Vec<RefCell<&mut MemorySystem>> =
             self.hbms.iter_mut().map(RefCell::new).collect();
-        let mut cluster = DeviceCluster::new(
-            self.devices.iter_mut().collect(),
-            queue_cfg,
-            // Scatter-gather pins every submission to its device; the
-            // router is not consulted.
-            RoutePolicy::RoundRobin,
-        )?;
-        cluster.set_placement(self.placement.clone())?;
+        let mut cluster =
+            DeviceCluster::new(self.devices.iter_mut().collect(), queue_cfg, self.replicas)?;
 
-        // Builds the shard-`s` copy of a query, pinned to `device`
-        // (some replica of `s`). Every copy — primary, hedge, failover —
+        // Builds the shard-`s` copy of a query for `device` (some
+        // replica of `s`). Every copy — primary, hedge, failover —
         // carries the primary's deadline: redundancy races the SLO, it
         // never extends it.
         let make_task = |info: &QInfo, s: usize, device: usize, at: Duration, prio: Priority| {
@@ -1158,8 +1151,7 @@ impl ShardedRagServer {
             let mut task = TaskSpec::batch(key, Box::new(info.query.clone()), run)
                 .priority(prio)
                 .at(at)
-                .tenant(info.tenant)
-                .on_shard(device);
+                .tenant(info.tenant);
             if let Some(ttl) = info.ttl {
                 task = task.deadline_at(info.arrival + ttl);
             }
@@ -1185,14 +1177,12 @@ impl ShardedRagServer {
         // FIFO position among equal-priority work reflects `plan.at`:
         // an interactive-priority merge competes head-to-head with the
         // queries behind it, while a low-priority merge yields to every
-        // arrived query. The queue's retry policy applies unchanged; a
-        // plan that cannot even be admitted fails immediately (the
-        // corpus stays untouched and re-requestable).
+        // arrived query. The queue's retry policy applies unchanged.
         let mut compaction_tickets: HashMap<(usize, TaskHandle), usize> = HashMap::new();
-        let mut comp_results: Vec<(usize, Option<Completion>)> = Vec::new();
+        let mut comp_results: Vec<(usize, Completion)> = Vec::new();
         let mut plan_order: Vec<usize> = (0..plans.len()).collect();
         plan_order.sort_by_key(|&pi| (plans[pi].at, plans[pi].seq));
-        let comp_specs: Vec<(usize, Duration, TaskSpec<'_>)> = plan_order
+        let comp_specs: Vec<(usize, Duration, usize, TaskSpec<'_>)> = plan_order
             .into_iter()
             .map(|pi| {
                 let plan = &plans[pi];
@@ -1208,9 +1198,8 @@ impl ShardedRagServer {
                     });
                 let spec = TaskSpec::batch(plan.key, Box::new(()), run)
                     .priority(compaction_priority)
-                    .at(plan.at)
-                    .on_shard(device);
-                (pi, plan.at, spec)
+                    .at(plan.at);
+                (pi, plan.at, device, spec)
             })
             .collect();
         let mut comp_queue = comp_specs.into_iter().peekable();
@@ -1218,37 +1207,32 @@ impl ShardedRagServer {
         for info in &infos {
             while comp_queue
                 .peek()
-                .is_some_and(|(_, at, _)| *at <= info.arrival)
+                .is_some_and(|(_, at, _, _)| *at <= info.arrival)
             {
-                let (pi, _, spec) = comp_queue.next().expect("peeked non-empty");
-                match cluster.submit(spec) {
-                    Ok(h) => {
-                        compaction_tickets.insert((h.shard(), h.task()), pi);
-                    }
-                    Err(_) => comp_results.push((pi, None)),
-                }
+                let (pi, _, device, spec) = comp_queue.next().expect("peeked non-empty");
+                let h = cluster.submit(device, spec)?;
+                compaction_tickets.insert((device, h), pi);
             }
             for s in 0..n_shards {
                 let primary = cluster
                     .route_replica(s, &[])
                     .expect("every shard has at least one replica");
-                let handle =
-                    cluster.submit(make_task(info, s, primary, info.arrival, info.priority))?;
-                tickets.insert((handle.shard(), handle.task()), (info.ticket, s, false, 0));
+                let handle = cluster.submit(
+                    primary,
+                    make_task(info, s, primary, info.arrival, info.priority),
+                )?;
+                tickets.insert((primary, handle), (info.ticket, s, false, 0));
                 let mut tried = vec![primary];
                 if let Some(delay) = hedge {
                     // The hedge goes to a different replica when one
                     // exists (same device otherwise — the single-replica
                     // behavior).
                     let hd = cluster.route_replica(s, &tried).unwrap_or(primary);
-                    let h = cluster.submit(make_task(
-                        info,
-                        s,
+                    let h = cluster.submit(
                         hd,
-                        info.arrival + delay,
-                        Priority::High,
-                    ))?;
-                    tickets.insert((h.shard(), h.task()), (info.ticket, s, true, 0));
+                        make_task(info, s, hd, info.arrival + delay, Priority::High),
+                    )?;
+                    tickets.insert((hd, h), (info.ticket, s, true, 0));
                     if hd != primary {
                         tried.push(hd);
                     }
@@ -1264,13 +1248,9 @@ impl ShardedRagServer {
         }
 
         // Plans arriving after the last query still ride this drain.
-        for (pi, _, spec) in comp_queue {
-            match cluster.submit(spec) {
-                Ok(h) => {
-                    compaction_tickets.insert((h.shard(), h.task()), pi);
-                }
-                Err(_) => comp_results.push((pi, None)),
-            }
+        for (pi, _, device, spec) in comp_queue {
+            let h = cluster.submit(device, spec)?;
+            compaction_tickets.insert((device, h), pi);
         }
 
         // Drain-and-failover loop: each round drains every device, feeds
@@ -1279,17 +1259,16 @@ impl ShardedRagServer {
         let mut failover_submissions: u64 = 0;
         let mut round: u32 = 0;
         loop {
-            let cluster_report = cluster.drain()?;
+            let drained = cluster.drain()?;
             let mut touched: Vec<(u64, usize)> = Vec::new();
-            for drained in cluster_report.shards {
-                let device = drained.shard;
-                for done in drained.completions {
+            for (device, completions) in drained.into_iter().enumerate() {
+                for done in completions {
                     // Compaction completions are background work: they
                     // feed the corpus, not the query merge (and not
                     // replica health — a failed merge says nothing a
                     // query read would act on).
                     if let Some(pi) = compaction_tickets.remove(&(device, done.handle)) {
-                        comp_results.push((pi, Some(done)));
+                        comp_results.push((pi, done));
                         continue;
                     }
                     let (ticket, s, is_hedge, rnd) = tickets
@@ -1340,8 +1319,8 @@ impl ShardedRagServer {
                     .max_by_key(|&(_, at)| at)
                     .expect("a failed slot has at least one copy");
                 let spec = make_task(info, s, next, info.arrival, info.priority);
-                let h = cluster.submit_failover(spec, from, observed)?;
-                tickets.insert((h.shard(), h.task()), (ticket, s, false, round + 1));
+                let h = cluster.submit_failover(next, spec, from, observed)?;
+                tickets.insert((next, h), (ticket, s, false, round + 1));
                 slot.tried.push(next);
                 failover_submissions += 1;
                 resubmitted = true;
@@ -1360,9 +1339,9 @@ impl ShardedRagServer {
         comp_results.sort_by_key(|(pi, _)| plans[*pi].seq);
         for (pi, done) in comp_results {
             let plan = &plans[pi];
-            match done.map(Completion::into_output::<Segment>) {
-                Some(Ok(merged)) => self.corpus.apply_compaction(plan, merged),
-                Some(Err(_)) | None => self.corpus.fail_compaction(plan),
+            match done.into_output::<Segment>() {
+                Ok(merged) => self.corpus.apply_compaction(plan, merged),
+                Err(_) => self.corpus.fail_compaction(plan),
             }
         }
         // Queue counters are cumulative across drain rounds, so one
@@ -1839,6 +1818,20 @@ mod tests {
         assert_eq!(report.replica.failover_served, 0);
     }
 
+    /// A replica index past the shard's set panics instead of reaching
+    /// into the next shard's devices.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_replica_index_past_the_set_panics() {
+        let cfg = ServeConfig {
+            replicas: 2,
+            ..ServeConfig::default()
+        };
+        let sim = SimConfig::default().with_l4_bytes(8 << 20);
+        let mut sharded = ShardedRagServer::new(&corpus(600), 2, sim, cfg).unwrap();
+        sharded.replica_device_mut(0, 2);
+    }
+
     #[test]
     fn ivf_serving_reports_probe_metrics_and_exact_scores() {
         let store = corpus(8_192);
@@ -1965,6 +1958,37 @@ mod tests {
         assert!(server.submit(Duration::ZERO, store.query(2)).is_ok());
         // The count is per drain: the next report starts from zero.
         assert_eq!(server.drain().unwrap().rejected, 0);
+    }
+
+    /// Admission applies to queries once, at submit: hedged fan-out
+    /// copies of admitted queries may outnumber `max_pending` on one
+    /// device queue, and the drain still serves every one of them.
+    #[test]
+    fn hedged_fan_out_beyond_max_pending_loses_no_admitted_query() {
+        let store = EmbeddingStore::size_only(CorpusSpec::from_corpus_bytes(100_000_000), 5);
+        let sim = SimConfig::default()
+            .with_l4_bytes(8 << 20)
+            .with_exec_mode(apu_sim::ExecMode::TimingOnly);
+        let cfg = ServeConfig {
+            hedge: Some(Duration::from_micros(200)),
+            ..ServeConfig::default()
+        };
+        let submitted = 600;
+        assert!(2 * submitted > cfg.queue.max_pending);
+        assert!(submitted <= cfg.queue.max_pending);
+        let mut server = ShardedRagServer::new(&store, 1, sim, cfg).unwrap();
+        for i in 0..submitted {
+            server
+                .submit(Duration::from_micros(100 * i as u64), store.query(i as u64))
+                .unwrap();
+        }
+        let report = server.drain().unwrap();
+        assert_eq!(
+            report.served() + report.failed() + report.rejected,
+            submitted
+        );
+        assert_eq!(report.served(), submitted);
+        assert_eq!(server.pending(), 0);
     }
 
     #[test]

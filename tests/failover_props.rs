@@ -1,73 +1,33 @@
-//! Property tests for the replication layer: placement invariants,
-//! health-tracker semantics, and the consistent-hash minimal-movement
-//! bound behind elastic resharding.
+//! Property test for the replication layer's health tracker.
 //!
-//! These are pure `apu-sim` properties — no device simulation — so they
-//! sweep wide parameter spaces cheaply. The end-to-end kill-a-replica
-//! differential (replicated serving equals the flat single-device scan
-//! under replica faults) lives in `tests/sharding_props.rs`; this file
-//! proves the building blocks it relies on:
-//!
-//! * every shard always has at least one replica, and replicas of one
-//!   shard land on **distinct** devices whenever capacity allows;
-//! * a device is down exactly when its trailing streak of
-//!   device-attributable failures reaches the threshold, and any
-//!   success revives it;
-//! * resharding N → N±1 with [`key_shard`] moves at most
-//!   `ceil(keys/N) + slack` keys — the minimal-movement property that
-//!   makes elastic scale-up/down cheap while serving.
+//! This is a pure `apu-sim` property — no device simulation — so it
+//! sweeps long outcome sequences cheaply. The end-to-end
+//! kill-a-replica differential (replicated serving equals the flat
+//! single-device scan under replica faults) lives in
+//! `tests/sharding_props.rs`; this file proves the building block it
+//! relies on: a device is down exactly when its last recorded outcome
+//! was a device-attributable failure, and any success revives it.
 
-use apu_sim::{key_shard, HealthTracker, Placement};
+use apu_sim::HealthTracker;
 use proptest::prelude::*;
+
+/// Failures in a row that take a device down.
+const THRESHOLD: u32 = 1;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Placement invariants over the full (shards, replicas, devices)
-    /// lattice: construction succeeds for any non-zero counts, every
-    /// shard gets `min(replicas, devices)` replicas (≥ 1), all device
-    /// indices are in range, and no shard holds two copies on the same
-    /// device.
-    #[test]
-    fn placement_gives_every_shard_distinct_in_range_replicas(
-        shards in 1usize..=16,
-        replicas in 1usize..=4,
-        devices in 1usize..=16,
-    ) {
-        let p = Placement::new(shards, replicas, devices).expect("non-zero counts");
-        prop_assert_eq!(p.shards(), shards);
-        prop_assert_eq!(p.devices(), devices);
-        prop_assert_eq!(p.width(), replicas.min(devices));
-        for s in 0..shards {
-            let group = p.replicas(s);
-            prop_assert!(!group.is_empty(), "shard {} has no replica", s);
-            prop_assert_eq!(group.len(), replicas.min(devices));
-            let mut sorted = group.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(
-                sorted.len(), group.len(),
-                "shard {} placed two copies on one device: {:?}", s, group
-            );
-            for &d in group {
-                prop_assert!(d < devices, "device {} out of range", d);
-            }
-        }
-        // Deterministic: the same inputs always give the same placement.
-        prop_assert_eq!(&p, &Placement::new(shards, replicas, devices).unwrap());
-    }
-
     /// Health differential: replay an arbitrary outcome sequence against
     /// a trivial trailing-streak model. A device must be down exactly
-    /// when its trailing failure streak has reached the threshold, and
-    /// the number of up→down transitions must match the model's.
+    /// when its trailing failure streak has reached [`THRESHOLD`],
+    /// `record_failure` must report exactly the up→down transitions, and
+    /// their count must match the model's.
     #[test]
     fn health_tracker_matches_the_trailing_streak_model(
-        threshold in 1u32..=3,
         events in proptest::collection::vec((0usize..4, any::<bool>()), 0..64),
     ) {
         let devices = 4;
-        let mut tracker = HealthTracker::with_threshold(devices, threshold);
+        let mut tracker = HealthTracker::new(devices);
         let mut streak = vec![0u32; devices];
         let mut down = vec![false; devices];
         let mut transitions = 0u64;
@@ -77,12 +37,17 @@ proptest! {
                 streak[d] = 0;
                 down[d] = false;
             } else {
-                tracker.record_failure(d);
+                let went_down = tracker.record_failure(d);
                 streak[d] += 1;
-                if !down[d] && streak[d] >= threshold {
+                let expect_down = !down[d] && streak[d] >= THRESHOLD;
+                if expect_down {
                     down[d] = true;
                     transitions += 1;
                 }
+                prop_assert_eq!(
+                    went_down, expect_down,
+                    "device {} transition diverged after {:?}", d, events
+                );
             }
         }
         for (d, &is_down) in down.iter().enumerate() {
@@ -92,61 +57,5 @@ proptest! {
             );
         }
         prop_assert_eq!(tracker.down_transitions(), transitions);
-        let expected_down: Vec<usize> =
-            (0..devices).filter(|&d| down[d]).collect();
-        prop_assert_eq!(tracker.down_devices(), expected_down);
-    }
-
-    /// Minimal-movement bound for elastic resharding: growing or
-    /// shrinking the shard count by one moves at most
-    /// `ceil(keys/from) + slack` keys (the jump hash's expected movement
-    /// is `keys / max(from, to)`; the slack absorbs per-case variance).
-    /// Every key's assignment stays in range before and after.
-    #[test]
-    fn resharding_by_one_moves_at_most_its_fair_share(
-        keys in proptest::collection::vec(any::<u64>(), 32..=512),
-        from in 1usize..=6,
-        grow in any::<bool>(),
-    ) {
-        let to = if grow { from + 1 } else { from.max(2) - 1 };
-        let mut moved = 0usize;
-        for &key in &keys {
-            let a = key_shard(key, from);
-            let b = key_shard(key, to);
-            prop_assert!(a < from, "shard {} out of range {}", a, from);
-            prop_assert!(b < to, "shard {} out of range {}", b, to);
-            if a != b {
-                moved += 1;
-            }
-        }
-        if from == to {
-            prop_assert_eq!(moved, 0);
-        } else {
-            let slack = keys.len() / 8 + 8;
-            let bound = keys.len().div_ceil(from) + slack;
-            prop_assert!(
-                moved <= bound,
-                "resharding {} -> {} moved {} of {} keys (bound {})",
-                from, to, moved, keys.len(), bound
-            );
-        }
-    }
-}
-
-/// A resized [`Placement`] keeps the invariants (this is the placement
-/// side of elastic scale-up/down; key movement is bounded above).
-#[test]
-fn resized_placement_keeps_width_and_distinctness() {
-    let p = Placement::new(4, 2, 8).unwrap();
-    for new_shards in [3usize, 5] {
-        let q = p.resized(new_shards).unwrap();
-        assert_eq!(q.shards(), new_shards);
-        assert_eq!(q.devices(), 8);
-        assert_eq!(q.width(), 2);
-        for s in 0..new_shards {
-            let g = q.replicas(s);
-            assert_eq!(g.len(), 2);
-            assert_ne!(g[0], g[1]);
-        }
     }
 }
