@@ -181,9 +181,8 @@ impl<'d, 't> DeviceCluster<'d, 't> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidArg`] for a bad device index or zero
-    /// weight, or [`Error::QueueFull`] when the device's backlog bound
-    /// is hit.
+    /// Returns [`Error::InvalidArg`] for a bad device index, or
+    /// [`Error::QueueFull`] when the device's backlog bound is hit.
     pub fn submit(&mut self, device: usize, spec: TaskSpec<'t>) -> Result<TaskHandle> {
         self.check_device(device)?;
         self.nodes[device].submit(spec)

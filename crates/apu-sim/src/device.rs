@@ -215,7 +215,7 @@ impl ApuDevice {
     /// Arms deterministic fault injection (see [`FaultPlan`]), replacing
     /// any previously armed plan and resetting its counters. Armed faults
     /// surface as [`Error::FaultInjected`] from the [`crate::DeviceQueue`]
-    /// dispatch gate and from DMA transfer issue.
+    /// dispatch gate.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(FaultState::new(plan));
     }
@@ -367,7 +367,6 @@ impl ApuDevice {
             l4: &mut self.l4,
             l3: &mut self.l3,
             core,
-            faults: self.faults.as_mut(),
             trace: self.trace.clone(),
         };
         task(&mut ctx)?;
@@ -512,7 +511,6 @@ impl ApuDevice {
                 l4: &mut self.l4,
                 l3: &mut self.l3,
                 core,
-                faults: self.faults.as_mut(),
                 trace: self.trace.clone(),
             };
             task(&mut ctx)?;
@@ -555,7 +553,6 @@ pub struct ApuContext<'a> {
     pub(crate) l4: &'a mut Dram,
     pub(crate) l3: &'a mut Vec<u8>,
     pub(crate) core: &'a mut ApuCore,
-    pub(crate) faults: Option<&'a mut FaultState>,
     pub(crate) trace: Option<SharedSink>,
 }
 
@@ -605,27 +602,6 @@ impl ApuContext<'_> {
         self.check_l3(l3_off, values.len() * 2)?;
         let bytes = u16s_to_bytes(values);
         self.l3[l3_off..l3_off + bytes.len()].copy_from_slice(&bytes);
-        Ok(())
-    }
-
-    /// One DMA-level fault check, consumed at transfer issue.
-    pub(crate) fn dma_fault_check(&mut self) -> Result<()> {
-        let hit = match self.faults.as_mut() {
-            Some(f) => f.check_dma().map(|e| (e, f.counts().dmas_injected)),
-            None => None,
-        };
-        if let Some((e, seq)) = hit {
-            if let Some(t) = self.trace.as_ref() {
-                t.record(crate::trace::TraceEvent {
-                    ts: self.core.cycles(),
-                    kind: crate::trace::TraceEventKind::FaultInjected {
-                        scope: crate::trace::FaultScope::Dma,
-                        seq,
-                    },
-                });
-            }
-            return Err(e);
-        }
         Ok(())
     }
 

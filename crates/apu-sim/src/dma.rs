@@ -66,7 +66,6 @@ impl ApuContext<'_> {
     ///
     /// Fails on stale handles or out-of-range destinations.
     pub fn dma_l4_to_l3(&mut self, l3_off: usize, src: MemHandle, len: usize) -> Result<()> {
-        self.dma_fault_check()?;
         let cost = self.contended(self.timing().dma_l4_l3(len)) + self.dma_extra();
         self.check_l3(l3_off, len)?;
         if self.core().is_functional() {
@@ -87,7 +86,6 @@ impl ApuContext<'_> {
     ///
     /// Fails on stale handles or out-of-range sources.
     pub fn dma_l3_to_l4(&mut self, dst: MemHandle, l3_off: usize, len: usize) -> Result<()> {
-        self.dma_fault_check()?;
         let cost = self.contended(self.timing().dma_l4_l3(len)) + self.dma_extra();
         self.check_l3(l3_off, len)?;
         if self.core().is_functional() {
@@ -119,7 +117,6 @@ impl ApuContext<'_> {
     /// Fails if `chunks` is empty, any chunk has zero length, or any range
     /// is out of bounds.
     pub fn dma_l4_to_l2_chunks(&mut self, src: MemHandle, chunks: &[ChunkCopy]) -> Result<()> {
-        self.dma_fault_check()?;
         if chunks.is_empty() {
             return Err(Error::InvalidArg("empty DMA chunk list".into()));
         }
@@ -150,7 +147,6 @@ impl ApuContext<'_> {
     ///
     /// Fails on stale handles or out-of-range sources.
     pub fn dma_l2_to_l4(&mut self, dst: MemHandle, l2_off: usize, len: usize) -> Result<()> {
-        self.dma_fault_check()?;
         let billed = granules(len);
         let cost = self.contended(self.timing().dma_l4_l2(billed)) + self.dma_extra();
         self.check_l2(l2_off, len)?;
@@ -211,7 +207,6 @@ impl ApuContext<'_> {
     ///
     /// Fails if `src` cannot supply a full vector or the VMR is invalid.
     pub fn dma_l4_to_l1(&mut self, dst: Vmr, src: MemHandle) -> Result<()> {
-        self.dma_fault_check()?;
         let bytes = self.core().config().vr_bytes();
         let cost = self.contended(Cycles::new(self.timing().dma_l4_l1)) + self.dma_extra();
         if self.core().is_functional() {
@@ -242,7 +237,6 @@ impl ApuContext<'_> {
     ///
     /// Fails if `dst` cannot hold a full vector or the VMR is invalid.
     pub fn dma_l1_to_l4(&mut self, dst: MemHandle, src: Vmr) -> Result<()> {
-        self.dma_fault_check()?;
         let bytes = self.core().config().vr_bytes();
         let cost = self.contended(Cycles::new(self.timing().dma_l1_l4)) + self.dma_extra();
         if self.core().is_functional() {

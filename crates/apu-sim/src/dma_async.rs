@@ -148,7 +148,6 @@ impl ApuContext<'_> {
     pub fn dma_l4_to_l1_async(&mut self, dst: Vmr, src: MemHandle) -> Result<DmaTicket> {
         let bytes = self.core().config().vr_bytes();
         let cost = Cycles::from_f64(self.timing().dma_l4_l1 as f64 * self.core().l4_contention());
-        self.dma_fault_check()?;
         // Capture the source now; the destination write is deferred to the
         // wait so read-before-wait races surface as stale data.
         let copy = if self.core().is_functional() {
@@ -185,7 +184,6 @@ impl ApuContext<'_> {
     pub fn dma_l1_to_l4_async(&mut self, dst: MemHandle, src: Vmr) -> Result<DmaTicket> {
         let bytes = self.core().config().vr_bytes();
         let cost = Cycles::from_f64(self.timing().dma_l1_l4 as f64 * self.core().l4_contention());
-        self.dma_fault_check()?;
         let copy = if self.core().is_functional() {
             let data: Vec<u8> = self
                 .core()

@@ -3,12 +3,11 @@
 //! A simulation harness is only trustworthy if its failure paths are
 //! exercised, not just its happy paths. [`FaultPlan`] arms the device
 //! with a seed-driven plan — fail every k-th task, fail every task of a
-//! specific [`BatchKey`], fail a pseudo-random fraction of tasks, or
-//! kill every k-th DMA transfer — and [`crate::ApuDevice::inject_faults`]
-//! installs it. The [`crate::DeviceQueue`] consults the plan at dispatch
-//! time (so faulted tasks retire as error completions and, when
-//! transient, are eligible for bounded retry), while the DMA layer
-//! consults it on every transfer issue.
+//! specific [`BatchKey`], or fail a pseudo-random fraction of tasks —
+//! and [`crate::ApuDevice::inject_faults`] installs it. The
+//! [`crate::DeviceQueue`] consults the plan at dispatch time, so faulted
+//! tasks retire as error completions and, when transient, are eligible
+//! for bounded retry.
 //!
 //! All decisions are pure functions of the plan and a monotone check
 //! counter, so a faulted run is exactly reproducible: same plan, same
@@ -37,8 +36,6 @@ pub struct FaultPlan {
     pub task_rate: f64,
     /// Seed for the rate-based trigger.
     pub seed: u64,
-    /// Fail every k-th DMA transfer issue.
-    pub every_kth_dma: Option<u64>,
 }
 
 impl FaultPlan {
@@ -86,13 +83,6 @@ impl FaultPlan {
         self.task_rate = rate.clamp(0.0, 1.0);
         self
     }
-
-    /// Arms the every-k-th-DMA trigger (k = 0 disarms it).
-    #[must_use]
-    pub fn fail_every_kth_dma(mut self, k: u64) -> Self {
-        self.every_kth_dma = (k > 0).then_some(k);
-        self
-    }
 }
 
 /// Observed fault-injection activity, for assertions in tests and
@@ -101,21 +91,10 @@ impl FaultPlan {
 pub struct FaultCounts {
     /// Task-level fault checks performed.
     pub tasks_checked: u64,
-    /// Task-level faults injected.
-    pub tasks_injected: u64,
-    /// DMA-level fault checks performed.
-    pub dmas_checked: u64,
-    /// DMA-level faults injected.
-    pub dmas_injected: u64,
-}
-
-impl FaultCounts {
-    /// Total faults injected across both scopes — the number of
+    /// Task-level faults injected — the number of
     /// [`crate::trace::TraceEventKind::FaultInjected`] events a traced
     /// run emits.
-    pub fn injected_total(&self) -> u64 {
-        self.tasks_injected + self.dmas_injected
-    }
+    pub tasks_injected: u64,
 }
 
 /// The armed plan plus its monotone check counters.
@@ -169,24 +148,6 @@ impl FaultState {
             self.counts.tasks_injected += 1;
             Some(Error::FaultInjected(format!(
                 "task check {seq} hit the armed fault plan"
-            )))
-        } else {
-            None
-        }
-    }
-
-    /// One DMA-level check, at transfer issue.
-    pub(crate) fn check_dma(&mut self) -> Option<Error> {
-        self.counts.dmas_checked += 1;
-        let seq = self.counts.dmas_checked;
-        if self
-            .plan
-            .every_kth_dma
-            .is_some_and(|k| seq.is_multiple_of(k))
-        {
-            self.counts.dmas_injected += 1;
-            Some(Error::FaultInjected(format!(
-                "DMA transfer {seq} hit the armed fault plan"
             )))
         } else {
             None
@@ -253,16 +214,5 @@ mod tests {
             (50..200).contains(&injected),
             "10% rate injected {injected}/1000"
         );
-    }
-
-    #[test]
-    fn dma_trigger_counts_independently() {
-        let mut st = FaultState::new(FaultPlan::new(0).fail_every_kth_dma(2));
-        assert!(st.check_task(None).is_none());
-        assert!(st.check_dma().is_none());
-        assert!(st.check_dma().is_some());
-        assert_eq!(st.counts().dmas_checked, 2);
-        assert_eq!(st.counts().dmas_injected, 1);
-        assert_eq!(st.counts().tasks_injected, 0);
     }
 }

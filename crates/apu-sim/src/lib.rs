@@ -99,14 +99,13 @@ pub use mem::{MemHandle, Pod};
 pub use micro::{BitOp, LatchSrc, MicroOp, SliceMask, WriteSrc};
 pub use queue::{
     BatchKey, BatchOutput, Completion, DeviceQueue, Priority, QueueConfig, QueueStats, RetryPolicy,
-    TaskHandle, TaskOutcome,
+    TaskHandle,
 };
 pub use spec::{AdmissionControl, SchedPolicy, TaskSpec, TenantId};
 pub use stats::{LatencyReservoir, OpCounts, StageBreakdown, TenantStats, VcuStats};
 pub use timing::{DeviceTiming, VecOp};
 pub use trace::{
-    chrome_trace_json_grouped, label_escape, ChromeTraceSink, FaultScope, SharedSink, TraceEvent,
-    TraceEventKind, TraceRecorder, TraceSink,
+    chrome_trace_json_grouped, SharedSink, TraceEvent, TraceEventKind, TraceRecorder, TraceSink,
 };
 pub use workload::{ArrivalEvent, ArrivalProcess, TenantTraffic, TrafficSpec, WorkloadTrace};
 

@@ -5,7 +5,7 @@
 //! This module provides that layer for the simulator: clients open a
 //! [`DeviceQueue`] over an [`ApuDevice`], submit work described by a
 //! [`TaskSpec`] — priority class, tenant, arrival timestamp, deadline,
-//! weight, batch key — and receive a [`TaskHandle`]. The scheduler
+//! batch key — and receive a [`TaskHandle`]. The scheduler
 //! replays jobs on the simulated device and places them on a
 //! discrete-event *virtual timeline* with per-core availability, so a
 //! stream of queries reports realistic queueing delay, service time, and
@@ -48,15 +48,15 @@
 //! # Failure containment
 //!
 //! A failing job must not poison the queue. Every submission retires
-//! with a [`Completion`] whose [`TaskOutcome`] is either `Ok(value)` or
-//! `Failed(error)`: job errors, poisoned batch members, injected faults
+//! with a [`Completion`] whose [`BatchOutput`] is either `Ok(value)` or
+//! `Err(error)`: job errors, poisoned batch members, injected faults
 //! (see [`crate::FaultPlan`]), and deadline-shed tasks all surface as
 //! error completions instead of aborting [`DeviceQueue::step`] /
 //! [`DeviceQueue::wait`] / [`DeviceQueue::drain`]. A failed job still
 //! consumed simulated device time, so its dispatch is booked on the
 //! virtual timeline like any other. Tasks submitted with a TTL
 //! ([`TaskSpec::ttl`]) are shed *without dispatching*
-//! once their deadline passes (`Failed(DeadlineExceeded)`, load
+//! once their deadline passes (`Err(DeadlineExceeded)`, load
 //! shedding), and an optional [`RetryPolicy`] re-queues transient
 //! **pre-dispatch** failures (the fault-injection gate) with bounded
 //! exponential backoff. Post-dispatch failures are never retried — the
@@ -80,13 +80,13 @@ use crate::device::{ApuDevice, TaskReport};
 use crate::error::Error;
 use crate::spec::{AdmissionControl, SchedPolicy, TaskSpec, TenantId};
 use crate::stats::{StageBreakdown, VcuStats};
-use crate::trace::{FaultScope, TraceEvent, TraceEventKind};
+use crate::trace::{TraceEvent, TraceEventKind};
 use crate::Result;
 
 pub use crate::stats::{percentile, QueueStats};
 
-/// Fixed-point scale of the fair-share virtual clock: one unit of work
-/// at tenant weight 1 advances the tenant's virtual time by this much.
+/// Fixed-point scale of the fair-share virtual clock: one task at
+/// tenant weight 1 advances the tenant's virtual time by this much.
 const VT_SCALE: u128 = 1_000_000;
 
 /// Dispatch priority of a queued task. Lower discriminant = served first.
@@ -189,11 +189,6 @@ pub struct QueueConfig {
     /// Per-tenant fair-share weights for [`SchedPolicy::SloAware`]
     /// (raw [`TenantId`] → weight; unlisted tenants weigh 1).
     pub tenant_weights: BTreeMap<u64, u64>,
-    /// Human-readable display names for tenants (raw [`TenantId`] →
-    /// name), carried into [`QueueStats::tenant_names`] and rendered —
-    /// escaped — as Prometheus label values. Unlabelled tenants render
-    /// as their numeric id.
-    pub tenant_labels: BTreeMap<u64, String>,
     /// Backlog watermarks for admission shedding; `None` — the default —
     /// never sheds on backlog (only [`QueueConfig::max_pending`] rejects
     /// at submission).
@@ -209,7 +204,6 @@ impl Default for QueueConfig {
             retry: None,
             scheduler: SchedPolicy::default(),
             tenant_weights: BTreeMap::new(),
-            tenant_labels: BTreeMap::new(),
             admission: None,
         }
     }
@@ -260,14 +254,6 @@ impl QueueConfig {
         self
     }
 
-    /// Sets one tenant's human-readable display name, rendered (escaped)
-    /// as the `tenant` label value in [`crate::trace::prometheus_text`].
-    #[must_use]
-    pub fn with_tenant_label(mut self, tenant: TenantId, name: impl Into<String>) -> Self {
-        self.tenant_labels.insert(tenant.get(), name.into());
-        self
-    }
-
     /// Enables admission shedding at the given backlog watermarks.
     #[must_use]
     pub fn with_admission(mut self, admission: AdmissionControl) -> Self {
@@ -276,19 +262,8 @@ impl QueueConfig {
     }
 }
 
-/// Per-task outcome carried by a [`Completion`].
-#[derive(Debug)]
-pub enum TaskOutcome {
-    /// The task ran; the boxed value is the job's output.
-    Ok(Box<dyn Any>),
-    /// The task retired with an error: its job failed, its batch member
-    /// was poisoned, the fault gate killed it, or its deadline passed
-    /// before dispatch.
-    Failed(Error),
-}
-
 /// A retired task: scheduling timestamps, the device-side [`TaskReport`],
-/// and the task's [`TaskOutcome`].
+/// and the task's outcome.
 #[derive(Debug)]
 pub struct Completion {
     /// Handle returned at submission.
@@ -305,8 +280,7 @@ pub struct Completion {
     pub started_at: Duration,
     /// Retire time (`started_at` + service).
     pub finished_at: Duration,
-    /// Logical tasks the carrying dispatch coalesced (1 when unbatched;
-    /// the declared [`TaskSpec::weight`] for weighted jobs).
+    /// Tasks the carrying dispatch coalesced (1 when unbatched).
     pub batch_size: usize,
     /// Sequence number of the device dispatch that carried this task —
     /// batch members share it, so it identifies who rode together.
@@ -325,9 +299,12 @@ pub struct Completion {
     /// failed job it covers the device time consumed before the error;
     /// all-zero for work that never dispatched.
     pub report: TaskReport,
-    /// The task's outcome; access through [`Completion::output`],
-    /// [`Completion::into_output`], or [`Completion::error`].
-    pub outcome: TaskOutcome,
+    /// The task's outcome: the job's output, or the error that retired
+    /// it — its job failed, its batch member was poisoned, the fault
+    /// gate killed it, or its deadline passed before dispatch. Access
+    /// through [`Completion::output`], [`Completion::into_output`], or
+    /// [`Completion::error`].
+    pub outcome: BatchOutput,
 }
 
 impl Completion {
@@ -343,7 +320,7 @@ impl Completion {
 
     /// Whether the task retired successfully.
     pub fn is_ok(&self) -> bool {
-        matches!(self.outcome, TaskOutcome::Ok(_))
+        self.outcome.is_ok()
     }
 
     /// Whether the task retired with an error completion.
@@ -353,19 +330,13 @@ impl Completion {
 
     /// The error that failed the task, if any.
     pub fn error(&self) -> Option<&Error> {
-        match &self.outcome {
-            TaskOutcome::Failed(e) => Some(e),
-            TaskOutcome::Ok(_) => None,
-        }
+        self.outcome.as_ref().err()
     }
 
     /// Downcasts the job output to `T`; `None` on type mismatch or when
     /// the task failed.
     pub fn output<T: Any>(&self) -> Option<&T> {
-        match &self.outcome {
-            TaskOutcome::Ok(v) => v.downcast_ref::<T>(),
-            TaskOutcome::Failed(_) => None,
-        }
+        self.outcome.as_ref().ok()?.downcast_ref::<T>()
     }
 
     /// Per-stage breakdown of this completion's end-to-end latency (see
@@ -387,13 +358,10 @@ impl Completion {
     /// Returns the task's own error for a failed completion, or
     /// [`Error::InvalidArg`] when the output has a different type.
     pub fn into_output<T: Any>(self) -> Result<T> {
-        match self.outcome {
-            TaskOutcome::Ok(v) => v
-                .downcast::<T>()
-                .map(|b| *b)
-                .map_err(|_| Error::InvalidArg("completion output has a different type".into())),
-            TaskOutcome::Failed(e) => Err(e),
-        }
+        self.outcome?
+            .downcast::<T>()
+            .map(|b| *b)
+            .map_err(|_| Error::InvalidArg("completion output has a different type".into()))
     }
 }
 
@@ -441,7 +409,6 @@ struct Pending<'t> {
     deadline: Option<Duration>,
     /// Dispatch attempts already consumed by fault-gate retries.
     attempt: u32,
-    weight: u64,
     /// Start-time-fair-queueing tag frozen at admission (see
     /// [`DeviceQueue::submit`]); orders same-priority work under
     /// [`SchedPolicy::SloAware`].
@@ -459,7 +426,6 @@ struct MemberMeta {
     arrival: Duration,
     /// Dispatch attempts already consumed by fault-gate retries.
     attempt: u32,
-    weight: u64,
 }
 
 /// A serving queue over a borrowed [`ApuDevice`].
@@ -505,7 +471,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     /// Opens a queue over a device.
     pub fn new(dev: &'d mut ApuDevice, cfg: QueueConfig) -> Self {
         let cores = dev.config().cores;
-        let tenant_names = cfg.tenant_labels.clone();
         DeviceQueue {
             dev,
             cfg,
@@ -516,7 +481,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             next_dispatch: 0,
             stats: QueueStats {
                 cores,
-                tenant_names,
                 ..QueueStats::default()
             },
             vclock: 0,
@@ -562,17 +526,13 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     /// Submits the work described by a [`TaskSpec`] — the single entry
     /// point of the submission API. Build the spec with
     /// [`TaskSpec::job`] / [`TaskSpec::typed`] / [`TaskSpec::kernel`] /
-    /// [`TaskSpec::batch`] and compose priority, tenant, arrival,
-    /// TTL/deadline, and weight freely.
+    /// [`TaskSpec::batch`] and compose priority, tenant, arrival and
+    /// TTL/deadline freely.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit, or
-    /// [`Error::InvalidArg`] for a zero weight.
+    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
     pub fn submit(&mut self, spec: TaskSpec<'t>) -> Result<TaskHandle> {
-        if spec.weight == 0 {
-            return Err(Error::InvalidArg("batch weight must be non-zero".into()));
-        }
         if self.pending.len() >= self.cfg.max_pending {
             self.stats.rejected += 1;
             return Err(Error::QueueFull {
@@ -585,7 +545,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             arrival,
             tenant,
             deadline,
-            weight,
             work,
         } = spec;
         let handle = TaskHandle(self.next_id);
@@ -595,22 +554,18 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             .per_tenant
             .entry(tenant.get())
             .or_default()
-            .submitted += weight;
-        if weight > 1 {
-            self.stats.batches += 1;
-            self.stats.batched_tasks += weight;
-        }
+            .submitted += 1;
         let batch_key = work.key.map(BatchKey::get);
         // Start-time fair queueing (SFQ): freeze the virtual-time tag at
-        // admission. A tenant's tag advances by weight/share per admitted
-        // unit, so backlogged heavy tenants accumulate tags faster and
-        // interleave with light tenants in proportion to their shares.
+        // admission. A tenant's tag advances by 1/share per admitted
+        // task, so backlogged tenants interleave in proportion to their
+        // shares.
         let share = self.tenant_weight(tenant) as u128;
         let vstart = self
             .vclock
             .max(self.tenant_vtime.get(&tenant.get()).copied().unwrap_or(0));
         self.tenant_vtime
-            .insert(tenant.get(), vstart + weight as u128 * VT_SCALE / share);
+            .insert(tenant.get(), vstart + VT_SCALE / share);
         self.pending.push_back(Pending {
             handle,
             priority,
@@ -619,7 +574,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             eligible: arrival,
             deadline,
             attempt: 0,
-            weight,
             vstart,
             work,
         });
@@ -629,7 +583,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             handle: handle.0,
             priority,
             batch_key,
-            weight,
             deadline: deadline_cycles,
         });
         Ok(handle)
@@ -751,7 +704,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     }
 
     /// Sheds every pending task whose deadline passes before it could
-    /// possibly start, retiring each as `Failed(DeadlineExceeded)`
+    /// possibly start, retiring each as `Err(DeadlineExceeded)`
     /// without dispatching. Returns whether anything was shed.
     fn shed_expired(&mut self) -> bool {
         let horizon = self.horizon();
@@ -768,12 +721,12 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             }
             let task = self.pending.remove(i).expect("index is valid");
             let deadline = task.deadline.expect("task was expired by deadline");
-            self.stats.expired += task.weight;
+            self.stats.expired += 1;
             self.stats
                 .per_tenant
                 .entry(task.tenant.get())
                 .or_default()
-                .expired += task.weight;
+                .expired += 1;
             self.completions.push(Completion {
                 handle: task.handle,
                 priority: task.priority,
@@ -781,12 +734,12 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 submitted_at: task.arrival,
                 started_at: deadline,
                 finished_at: deadline,
-                batch_size: task.weight as usize,
+                batch_size: 1,
                 dispatch: None,
                 batch_key: task.work.key,
                 attempts: task.attempt,
                 report: Self::empty_report(),
-                outcome: TaskOutcome::Failed(Error::DeadlineExceeded { deadline }),
+                outcome: Err(Error::DeadlineExceeded { deadline }),
             });
             let deadline_cycles = self.trace_ts(deadline);
             self.emit_with(deadline, || TraceEventKind::TaskExpired {
@@ -802,7 +755,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     /// configured watermark (see [`AdmissionControl`]), sheds the
     /// lowest-priority latest-arrived pending task so the queued work
     /// low-priority tenants pile up cannot poison high-priority tail
-    /// latency. Shed tasks retire as `Failed(`[`Error::AdmissionShed`]`)`
+    /// latency. Shed tasks retire as `Err(`[`Error::AdmissionShed`]`)`
     /// without dispatching. High-priority work is never admission-shed.
     ///
     /// Backlog depth is measured on the **virtual timeline**: only tasks
@@ -853,12 +806,12 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             let Some(idx) = victim else { break };
             let task = self.pending.remove(idx).expect("victim index is valid");
             let at = task.eligible.max(horizon);
-            self.stats.shed_admission += task.weight;
+            self.stats.shed_admission += 1;
             self.stats
                 .per_tenant
                 .entry(task.tenant.get())
                 .or_default()
-                .shed += task.weight;
+                .shed += 1;
             let e = Error::AdmissionShed { backlog, watermark };
             let error_text = e.to_string();
             self.completions.push(Completion {
@@ -868,12 +821,12 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 submitted_at: task.arrival,
                 started_at: at,
                 finished_at: at,
-                batch_size: task.weight as usize,
+                batch_size: 1,
                 dispatch: None,
                 batch_key: task.work.key,
                 attempts: task.attempt,
                 report: Self::empty_report(),
-                outcome: TaskOutcome::Failed(e),
+                outcome: Err(e),
             });
             self.emit_with(at, || TraceEventKind::TaskFailed {
                 handle: task.handle.0,
@@ -893,7 +846,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     ///
     /// # Errors
     ///
-    /// Job failures do **not** error: they retire as `Failed` completions
+    /// Job failures do **not** error: they retire as error completions
     /// (counted in [`QueueStats::failed`]). The `Result` is reserved for
     /// queue-level invariant violations.
     pub fn step(&mut self) -> Result<Option<&Completion>> {
@@ -932,7 +885,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
 
     /// Emits the [`TraceEventKind::DispatchIssued`] span for a dispatch
     /// just booked via [`DeviceQueue::occupy`].
-    #[allow(clippy::too_many_arguments)]
     fn emit_dispatch(
         &self,
         dispatch: u64,
@@ -940,7 +892,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         finish: Duration,
         cores: &[usize],
         members: &[TaskHandle],
-        tasks: u64,
         batch_key: Option<BatchKey>,
     ) {
         let (start_cycles, finish_cycles) = (self.trace_ts(start), self.trace_ts(finish));
@@ -950,7 +901,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             finish: finish_cycles,
             cores: cores.to_vec(),
             members: members.iter().map(|h| h.0).collect(),
-            tasks,
             batch_key: batch_key.map(BatchKey::get),
         });
     }
@@ -967,9 +917,8 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     }
 
     /// Books one successful completion — latency counters, reservoir
-    /// samples, and stage breakdown — into both the queue-wide totals
-    /// and the submitting tenant's [`crate::TenantStats`], `weight`
-    /// times.
+    /// sample, and stage breakdown — into both the queue-wide totals
+    /// and the submitting tenant's [`crate::TenantStats`].
     fn book_success(
         &mut self,
         tenant: TenantId,
@@ -977,40 +926,39 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         service: Duration,
         latency: Duration,
         stats: &VcuStats,
-        weight: u64,
     ) {
-        self.stats.completed += weight;
-        self.stats.total_wait += wait * weight as u32;
-        self.stats.total_service += service * weight as u32;
-        self.stats.total_latency += latency * weight as u32;
-        for _ in 0..weight {
-            self.stats.latency_samples.push(latency);
-        }
+        self.stats.completed += 1;
+        self.stats.total_wait += wait;
+        self.stats.total_service += service;
+        self.stats.total_latency += latency;
+        self.stats.latency_samples.push(latency);
         let stages = StageBreakdown::from_parts(wait, service, stats);
-        self.stats.stage_dispatch += stages.dispatch * weight as u32;
-        self.stats.stage_dma += stages.dma * weight as u32;
-        self.stats.stage_device += stages.device * weight as u32;
+        self.stats.stage_dispatch += stages.dispatch;
+        self.stats.stage_dma += stages.dma;
+        self.stats.stage_device += stages.device;
         let t = self.stats.per_tenant.entry(tenant.get()).or_default();
-        t.completed += weight;
-        t.total_wait += wait * weight as u32;
-        t.total_latency += latency * weight as u32;
-        t.stage_dispatch += stages.dispatch * weight as u32;
-        t.stage_dma += stages.dma * weight as u32;
-        t.stage_device += stages.device * weight as u32;
+        t.completed += 1;
+        t.total_wait += wait;
+        t.total_latency += latency;
+        t.stage_dispatch += stages.dispatch;
+        t.stage_dma += stages.dma;
+        t.stage_device += stages.device;
     }
 
-    /// Books a failed (never-completed) task against its tenant.
-    fn book_tenant_failure(&mut self, tenant: TenantId, weight: u64) {
+    /// Books one failed (never-completed) task into both the queue-wide
+    /// and the submitting tenant's `failed` counter.
+    fn book_failure(&mut self, tenant: TenantId) {
+        self.stats.failed += 1;
         self.stats
             .per_tenant
             .entry(tenant.get())
             .or_default()
-            .failed += weight;
+            .failed += 1;
     }
 
     /// Contains a pre-dispatch failure (the fault gate fired before the
     /// task ran): re-queues the task with backoff when the configured
-    /// retry policy still has budget, otherwise retires it as a `Failed`
+    /// retry policy still has budget, otherwise retires it as an error
     /// completion that never reached the device. A re-queued task goes
     /// back to `slot` — an unkeyed task keeps its place in line — or, for
     /// `None`, to the back of the backlog: a batch member gives up its
@@ -1024,10 +972,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     ) -> bool {
         let at = task.eligible.max(horizon);
         let seq = self.dev.fault_counts().tasks_injected;
-        self.emit_with(at, || TraceEventKind::FaultInjected {
-            scope: FaultScope::Task,
-            seq,
-        });
+        self.emit_with(at, || TraceEventKind::FaultInjected { seq });
         let retry = self
             .cfg
             .retry
@@ -1049,8 +994,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             }
             return false;
         }
-        self.stats.failed += task.weight;
-        self.book_tenant_failure(task.tenant, task.weight);
+        self.book_failure(task.tenant);
         let error_text = e.to_string();
         self.completions.push(Completion {
             handle: task.handle,
@@ -1059,12 +1003,12 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             submitted_at: task.arrival,
             started_at: at,
             finished_at: at,
-            batch_size: task.weight as usize,
+            batch_size: 1,
             dispatch: None,
             batch_key: task.work.key,
             attempts: task.attempt + 1,
             report: Self::empty_report(),
-            outcome: TaskOutcome::Failed(e),
+            outcome: Err(e),
         });
         self.emit_with(at, || TraceEventKind::TaskFailed {
             handle: task.handle.0,
@@ -1163,7 +1107,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 tenant: m.tenant,
                 arrival: m.arrival,
                 attempt: m.attempt,
-                weight: m.weight,
             });
         }
         let Some(run) = runner else {
@@ -1198,7 +1141,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
 
     /// Books a dispatch on the timeline and fans its per-member outputs
     /// back out as completions. A member whose [`BatchOutput`] is `Err`
-    /// retires as a `Failed` completion while its siblings succeed.
+    /// retires as an error completion while its siblings succeed.
     fn book_dispatch(
         &mut self,
         meta: &[MemberMeta],
@@ -1211,40 +1154,36 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         // before its last member became eligible.
         let (start, finish, cores) =
             self.occupy(report.cores_used, latest_eligible, report.duration);
-        let total_weight: u64 = meta.iter().map(|m| m.weight).sum();
+        let tasks = meta.len() as u64;
         let dispatch = self.next_dispatch;
         self.next_dispatch += 1;
         self.stats.dispatches += 1;
-        self.stats.dispatched_tasks += total_weight;
-        self.stats.max_batch_size = self.stats.max_batch_size.max(total_weight);
+        self.stats.dispatched_tasks += tasks;
+        self.stats.max_batch_size = self.stats.max_batch_size.max(tasks);
         self.stats.busy += report.duration * cores.len() as u32;
         self.stats.makespan = self.stats.makespan.max(finish);
         let handles: Vec<TaskHandle> = meta.iter().map(|m| m.handle).collect();
-        self.emit_dispatch(dispatch, start, finish, &cores, &handles, total_weight, key);
+        self.emit_dispatch(dispatch, start, finish, &cores, &handles, key);
 
         // Fan the completions back out: each member keeps its own
         // arrival and is charged the shared start/finish.
-        for (m, output) in meta.iter().zip(outputs) {
-            let outcome = match output {
-                Ok(value) => {
+        for (m, outcome) in meta.iter().zip(outputs) {
+            match &outcome {
+                Ok(_) => {
                     self.book_success(
                         m.tenant,
                         start - m.arrival,
                         report.duration,
                         finish - m.arrival,
                         &report.stats,
-                        m.weight,
                     );
                     self.emit_retire(m.handle, dispatch, finish, None);
-                    TaskOutcome::Ok(value)
                 }
                 Err(e) => {
-                    self.stats.failed += m.weight;
-                    self.book_tenant_failure(m.tenant, m.weight);
+                    self.book_failure(m.tenant);
                     self.emit_retire(m.handle, dispatch, finish, Some(e.to_string()));
-                    TaskOutcome::Failed(e)
                 }
-            };
+            }
             self.completions.push(Completion {
                 handle: m.handle,
                 priority: m.priority,
@@ -1252,7 +1191,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 submitted_at: m.arrival,
                 started_at: start,
                 finished_at: finish,
-                batch_size: total_weight as usize,
+                batch_size: meta.len(),
                 dispatch: Some(dispatch),
                 batch_key: key,
                 attempts: m.attempt + 1,
@@ -1263,7 +1202,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     }
 
     /// Dispatches until the given task retires and returns its
-    /// completion — which may be a `Failed` one; failed work retires
+    /// completion — which may be an error one; failed work retires
     /// with an error completion rather than vanishing from the queue.
     /// Returns immediately if it already retired.
     ///
@@ -1292,7 +1231,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     /// Dispatches every pending task and returns all completions so far,
     /// ordered by finish time (FIFO for ties), consuming them from the
     /// queue. Job failures do **not** abort the drain: each failed task
-    /// retires as a `Failed` completion and the drain continues.
+    /// retires as an error completion and the drain continues.
     /// Termination is guaranteed — retries are bounded by the policy's
     /// `max_retries`, after which a task retires as failed.
     ///
@@ -1644,33 +1583,6 @@ mod tests {
         assert_eq!(done[0].report.cores_used, cores);
         // All cores are busy until the parallel job's finish.
         assert!((q.stats().occupancy() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_submission_counts_batches() {
-        let mut dev = device();
-        let mut q = DeviceQueue::new(&mut dev, QueueConfig::default());
-        q.submit(
-            TaskSpec::job(Box::new(|dev: &mut ApuDevice| {
-                let r = dev.run_task(charge_kernel(VecOp::AddU16))?;
-                Ok((r, Box::new(()) as Box<dyn Any>))
-            }))
-            .weight(8),
-        )
-        .unwrap();
-        q.drain().unwrap();
-        let s = q.stats();
-        assert_eq!(s.batches, 1);
-        assert_eq!(s.batched_tasks, 8);
-        assert_eq!(s.completed, 8);
-        assert_eq!(
-            s.max_batch_size, 8,
-            "weighted submissions count toward the largest batch"
-        );
-        assert_eq!(s.latency_samples.len(), 8);
-        assert!(q
-            .submit(TaskSpec::job(Box::new(|_: &mut ApuDevice| unreachable!())).weight(0))
-            .is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`TaskSpec`] is the one way to submit work to a
 //! [`crate::DeviceQueue`] or [`crate::DeviceCluster`]: every submission
 //! option — [`Priority`] class, tenant, arrival time, TTL/deadline,
-//! logical weight, [`BatchKey`] — composes freely on one builder. A
+//! [`BatchKey`] — composes freely on one builder. A
 //! cluster submission names its device as a separate argument. Every
 //! spec describes a batch member: a plain job is a runner with one
 //! output and no key, so it always dispatches alone.
@@ -90,7 +90,7 @@ pub enum SchedPolicy {
 /// are shed (latest arrival first) until the backlog returns to the
 /// watermark; past `shed_normal_above`, Normal-priority tasks are shed
 /// too. High-priority work is never admission-shed. Shed tasks retire as
-/// `Failed(`[`crate::Error::AdmissionShed`]`)` without dispatching and
+/// `Err(`[`crate::Error::AdmissionShed`]`)` without dispatching and
 /// are counted in [`crate::QueueStats::shed_admission`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdmissionControl {
@@ -120,7 +120,6 @@ pub struct TaskSpec<'t> {
     pub(crate) arrival: Duration,
     pub(crate) tenant: TenantId,
     pub(crate) deadline: Option<Duration>,
-    pub(crate) weight: u64,
     pub(crate) work: Work<'t>,
 }
 
@@ -131,8 +130,7 @@ impl std::fmt::Debug for TaskSpec<'_> {
             .field("arrival", &self.arrival)
             .field("tenant", &self.tenant)
             .field("deadline", &self.deadline)
-            .field("weight", &self.weight)
-            .field("batch_key", &self.batch_key())
+            .field("batch_key", &self.work.key)
             .finish_non_exhaustive()
     }
 }
@@ -144,13 +142,12 @@ impl<'t> TaskSpec<'t> {
             arrival: Duration::ZERO,
             tenant: TenantId::default(),
             deadline: None,
-            weight: 1,
             work,
         }
     }
 
     /// A spec around a boxed raw [`Job`] (defaults: `Normal` priority,
-    /// arrival now, tenant 0, no deadline, weight 1). The job
+    /// arrival now, tenant 0, no deadline). The job
     /// runs as a batch of one with no key.
     pub fn job(job: Job<'t>) -> Self {
         Self::with_work(Work {
@@ -234,20 +231,6 @@ impl<'t> TaskSpec<'t> {
         self.deadline = Some(deadline);
         self
     }
-
-    /// Declares the number of logical tasks this submission folds (e.g.
-    /// a pre-batched multi-query job; default 1). Counted in
-    /// [`crate::QueueStats::batches`] / `batched_tasks` when > 1.
-    #[must_use]
-    pub fn weight(mut self, weight: u64) -> Self {
-        self.weight = weight;
-        self
-    }
-
-    /// The batch-compatibility key, for batchable specs.
-    pub fn batch_key(&self) -> Option<BatchKey> {
-        self.work.key
-    }
 }
 
 #[cfg(test)]
@@ -261,19 +244,16 @@ mod tests {
         assert_eq!(spec.arrival, Duration::ZERO);
         assert_eq!(spec.tenant, TenantId::default());
         assert_eq!(spec.deadline, None);
-        assert_eq!(spec.weight, 1);
-        assert!(spec.batch_key().is_none());
+        assert!(spec.work.key.is_none());
 
         let spec = spec
             .priority(Priority::High)
             .at(Duration::from_micros(10))
             .tenant(TenantId::new(3))
-            .ttl(Duration::from_micros(5))
-            .weight(4);
+            .ttl(Duration::from_micros(5));
         assert_eq!(spec.priority, Priority::High);
         assert_eq!(spec.tenant.get(), 3);
         assert_eq!(spec.deadline, Some(Duration::from_micros(15)));
-        assert_eq!(spec.weight, 4);
     }
 
     #[test]

@@ -335,19 +335,6 @@ pub fn stage_split(service: Duration, stats: &VcuStats) -> (Duration, Duration, 
     (dispatch, dma, device)
 }
 
-/// Monotone per-queue counters, in the style of [`VcuStats`].
-///
-/// Tracked by [`crate::DeviceQueue`]: admission and completion counts,
-/// accumulated wait/service/latency with a latency reservoir for
-/// percentile reporting, core occupancy, failure-containment counters
-/// (failed / expired / retried work), and — for the continuous batching
-/// dispatcher — per-dispatch batch-size and backlog counters.
-///
-/// Wait/service/latency accumulators and the latency reservoir cover
-/// **successful** completions only; failed and shed tasks are counted in
-/// [`QueueStats::failed`] / [`QueueStats::expired`], and the device time
-/// a failed job consumed is still booked on the virtual timeline (it
-/// shows up in [`QueueStats::busy`], `makespan`, and later tasks' waits).
 /// Per-tenant slice of the queue counters, keyed by the raw
 /// [`crate::TenantId`] in [`QueueStats::per_tenant`]. Follows the same
 /// conventions as the queue-wide block: the wait/latency/stage
@@ -415,11 +402,24 @@ impl TenantStats {
     }
 }
 
-/// Aggregate serving statistics of a [`crate::DeviceQueue`]: admission,
-/// dispatch, batching, shedding, and latency counters, plus per-tenant
-/// slices. Comparable with `==` (the reservoir compares its retained
-/// samples), which the API-compat tests use to prove the deprecated
-/// `submit_*` shims and the [`crate::TaskSpec`] path book identically.
+/// Aggregate serving statistics of a [`crate::DeviceQueue`], as
+/// monotone counters in the style of [`VcuStats`]: admission and
+/// completion counts, accumulated wait/service/latency with a latency
+/// reservoir for percentile reporting, core occupancy,
+/// failure-containment counters (failed / expired / shed / retried
+/// work), per-dispatch batch-size and backlog counters for the
+/// continuous-batching dispatcher, and per-tenant slices.
+///
+/// Wait/service/latency accumulators and the latency reservoir cover
+/// **successful** completions only; failed and shed tasks are counted in
+/// [`QueueStats::failed`] / [`QueueStats::expired`] /
+/// [`QueueStats::shed_admission`], and the device time a failed job
+/// consumed is still booked on the virtual timeline (it shows up in
+/// [`QueueStats::busy`], `makespan`, and later tasks' waits). Once the
+/// queue drains, `submitted == completed + failed + expired +
+/// shed_admission`, queue-wide and per tenant.
+///
+/// Comparable with `==` (the reservoir compares its retained samples).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueueStats {
     /// Tasks accepted by `submit`.
@@ -438,15 +438,10 @@ pub struct QueueStats {
     pub shed_admission: u64,
     /// Re-dispatch attempts made by the bounded retry policy.
     pub retries: u64,
-    /// Multi-query batch jobs dispatched (submissions with a
-    /// [`crate::TaskSpec::weight`] above 1).
-    pub batches: u64,
-    /// Logical tasks folded into those batch jobs.
-    pub batched_tasks: u64,
     /// Device dispatches issued; a coalesced batch counts once.
     pub dispatches: u64,
-    /// Logical tasks carried by those dispatches (batch members, plus
-    /// the declared weight of weighted jobs).
+    /// Tasks carried by those dispatches; a coalesced batch counts each
+    /// member.
     pub dispatched_tasks: u64,
     /// Largest batch the continuous-batching dispatcher coalesced.
     pub max_batch_size: u64,
@@ -477,10 +472,6 @@ pub struct QueueStats {
     /// Per-tenant counter slices, keyed by raw [`crate::TenantId`].
     /// Tasks submitted without an explicit tenant land under tenant 0.
     pub per_tenant: BTreeMap<u64, TenantStats>,
-    /// Display names for tenants (from `QueueConfig::with_tenant_label`),
-    /// rendered — escaped — as the `tenant` label value in Prometheus
-    /// exposition. Tenants without a name render as their numeric id.
-    pub tenant_names: BTreeMap<u64, String>,
 }
 
 impl QueueStats {
@@ -532,7 +523,7 @@ impl QueueStats {
         }
     }
 
-    /// Mean logical tasks per device dispatch (1.0 = no coalescing), or
+    /// Mean tasks per device dispatch (1.0 = no coalescing), or
     /// zero before the first dispatch.
     pub fn mean_batch_size(&self) -> f64 {
         if self.dispatches == 0 {
@@ -567,8 +558,6 @@ impl QueueStats {
         self.expired += other.expired;
         self.shed_admission += other.shed_admission;
         self.retries += other.retries;
-        self.batches += other.batches;
-        self.batched_tasks += other.batched_tasks;
         self.dispatches += other.dispatches;
         self.dispatched_tasks += other.dispatched_tasks;
         self.max_batch_size = self.max_batch_size.max(other.max_batch_size);
@@ -587,11 +576,6 @@ impl QueueStats {
         self.cores += other.cores;
         for (tenant, stats) in &other.per_tenant {
             self.per_tenant.entry(*tenant).or_default().merge(stats);
-        }
-        for (tenant, name) in &other.tenant_names {
-            self.tenant_names
-                .entry(*tenant)
-                .or_insert_with(|| name.clone());
         }
     }
 }

@@ -14,14 +14,11 @@
 //! never the wall clock, so traces are deterministic: the same seed and
 //! workload produce a byte-identical event stream on every run.
 //!
-//! Two sinks ship with the crate:
-//!
-//! * [`TraceRecorder`] — an in-memory event log for tests and invariant
-//!   checking ([`TraceRecorder::signature`] is byte-stable),
-//! * [`ChromeTraceSink`] — buffers events and exports Chrome
-//!   `trace_event` JSON ([`chrome_trace_json`]) loadable in Perfetto or
-//!   `chrome://tracing`, with one track for the queue, one per core, and
-//!   one per DMA engine.
+//! [`TraceRecorder`] is the in-memory sink: an event log for tests and
+//! invariant checking ([`TraceRecorder::signature`] is byte-stable).
+//! [`chrome_trace_json`] renders a recorded stream as Chrome
+//! `trace_event` JSON loadable in Perfetto or `chrome://tracing`, with
+//! one track for the queue, one per core, and one per DMA engine.
 //!
 //! Tracing is strictly an observer: when no sink is installed every
 //! instrumentation site is a no-op (a `None` check — no event is even
@@ -43,15 +40,6 @@ use std::rc::Rc;
 use crate::clock::{Cycles, Frequency};
 use crate::queue::Priority;
 use crate::stats::{QueueStats, VcuStats};
-
-/// Where a fault injection fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultScope {
-    /// The task-level dispatch gate (see [`crate::FaultPlan`] triggers).
-    Task,
-    /// A DMA transfer issue.
-    Dma,
-}
 
 /// One structured trace event: a virtual-clock timestamp plus a typed
 /// payload.
@@ -79,9 +67,6 @@ pub enum TraceEventKind {
         priority: Priority,
         /// Batch-compatibility key for batchable submissions.
         batch_key: Option<u64>,
-        /// Logical tasks folded into the submission
-        /// ([`crate::TaskSpec::weight`]).
-        weight: u64,
         /// Absolute start deadline, for TTL submissions.
         deadline: Option<Cycles>,
     },
@@ -96,8 +81,8 @@ pub enum TraceEventKind {
         window_close: Cycles,
     },
     /// A device dispatch was issued and booked on the virtual timeline.
-    /// Every dispatch — single, weighted, or coalesced batch — emits
-    /// exactly one of these.
+    /// Every dispatch — single task or coalesced batch — emits exactly
+    /// one of these.
     DispatchIssued {
         /// Dispatch sequence number (shared by all batch members).
         dispatch: u64,
@@ -108,11 +93,9 @@ pub enum TraceEventKind {
         /// Device cores the dispatch occupies.
         cores: Vec<usize>,
         /// Member handles carried by the dispatch, in submission order.
+        /// The member count summed over all `DispatchIssued` events
+        /// equals [`QueueStats::dispatched_tasks`].
         members: Vec<u64>,
-        /// Logical tasks carried (member count, or the declared weight
-        /// of a weighted job). Summed over all `DispatchIssued`
-        /// events this equals [`QueueStats::dispatched_tasks`].
-        tasks: u64,
         /// Batch key, for coalesced dispatches.
         batch_key: Option<u64>,
     },
@@ -176,12 +159,10 @@ pub enum TraceEventKind {
         /// covered the transfer).
         stall: Cycles,
     },
-    /// An armed [`crate::FaultPlan`] injected a fault.
+    /// An armed [`crate::FaultPlan`] failed a task at the dispatch gate.
     FaultInjected {
-        /// Task-gate or DMA-issue scope.
-        scope: FaultScope,
-        /// The plan's injection sequence number within the scope
-        /// (matches [`crate::FaultCounts`]).
+        /// The plan's injection sequence number (matches
+        /// [`crate::FaultCounts::tasks_injected`]).
         seq: u64,
     },
     /// Cluster health tracking marked this device's replica down;
@@ -235,10 +216,9 @@ impl TraceEvent {
                 handle,
                 priority,
                 batch_key,
-                weight,
                 deadline,
             } => format!(
-                "submitted h={handle} prio={priority:?} key={batch_key:?} w={weight} ttl={}",
+                "submitted h={handle} prio={priority:?} key={batch_key:?} ttl={}",
                 deadline.is_some()
             ),
             BatchFormed { key, members, .. } => {
@@ -248,11 +228,10 @@ impl TraceEvent {
                 dispatch,
                 cores,
                 members,
-                tasks,
                 batch_key,
                 ..
             } => format!(
-                "dispatch d={dispatch} cores={cores:?} members={members:?} tasks={tasks} key={batch_key:?}"
+                "dispatch d={dispatch} cores={cores:?} members={members:?} key={batch_key:?}"
             ),
             TaskRetired {
                 handle,
@@ -272,7 +251,7 @@ impl TraceEvent {
                 ..
             } => format!("dma-issued core={core} engine={engine} bytes={bytes}"),
             DmaWaited { core, engine, .. } => format!("dma-waited core={core} engine={engine}"),
-            FaultInjected { scope, seq } => format!("fault scope={scope:?} seq={seq}"),
+            FaultInjected { seq } => format!("fault seq={seq}"),
             ReplicaDown { device, failures } => {
                 format!("replica-down device={device} failures={failures}")
             }
@@ -406,52 +385,6 @@ impl TraceSink for TraceRecorder {
     }
 }
 
-/// Trace sink that buffers events for Chrome `trace_event` JSON export.
-///
-/// The exported JSON (see [`ChromeTraceSink::json`]) loads in Perfetto
-/// (<https://ui.perfetto.dev>) or `chrome://tracing`: the queue gets one
-/// track, each device core one track (dispatch spans), and each
-/// per-core DMA engine one track (transfer spans).
-#[derive(Debug)]
-pub struct ChromeTraceSink {
-    clock: Frequency,
-    events: Vec<TraceEvent>,
-}
-
-impl ChromeTraceSink {
-    /// A sink converting cycle stamps with the given device clock.
-    pub fn new(clock: Frequency) -> Self {
-        ChromeTraceSink {
-            clock,
-            events: Vec::new(),
-        }
-    }
-
-    /// A sink plus an installable handle sharing it (see
-    /// [`TraceRecorder::shared`]).
-    #[allow(clippy::type_complexity)]
-    pub fn shared(clock: Frequency) -> (SharedSink, Rc<RefCell<ChromeTraceSink>>) {
-        let sink = Rc::new(RefCell::new(ChromeTraceSink::new(clock)));
-        (SharedSink::from_rc(sink.clone()), sink)
-    }
-
-    /// The buffered events.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Exports the buffered events as Chrome `trace_event` JSON.
-    pub fn json(&self) -> String {
-        chrome_trace_json(&self.events, self.clock)
-    }
-}
-
-impl TraceSink for ChromeTraceSink {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-}
-
 /// Escapes a string for embedding in a JSON string literal.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -484,7 +417,8 @@ fn tid_dma(core: usize, engine: usize) -> u64 {
 }
 
 /// Renders a recorded event stream as Chrome `trace_event` JSON
-/// (the `{"traceEvents": [...]}` object form), loadable in Perfetto.
+/// (the `{"traceEvents": [...]}` object form), loadable in Perfetto
+/// (<https://ui.perfetto.dev>) or `chrome://tracing`.
 ///
 /// Durations and timestamps are microseconds of *virtual* device time,
 /// converted from [`Cycles`] with `clock`. Instant events (`ph: "i"`)
@@ -558,14 +492,13 @@ pub fn chrome_trace_json_grouped(groups: &[(&str, &[TraceEvent])], clock: Freque
                     handle,
                     priority,
                     batch_key,
-                    weight,
                     ..
                 } => rows.push(instant(
                     &format!("submit #{handle}"),
                     ts,
                     TID_QUEUE,
                     format!(
-                        r#""priority":"{priority:?}","batch_key":{},"weight":{weight}"#,
+                        r#""priority":"{priority:?}","batch_key":{}"#,
                         batch_key.map_or("null".into(), |k| k.to_string())
                     ),
                 )),
@@ -581,16 +514,16 @@ pub fn chrome_trace_json_grouped(groups: &[(&str, &[TraceEvent])], clock: Freque
                     finish,
                     cores,
                     members,
-                    tasks,
                     batch_key,
                 } => {
                     let dur = us(*finish) - us(*start);
+                    let tasks = members.len();
                     for &c in cores {
                         let tid = track(tid_core(c), format!("core {c}"), &mut tracks);
                         rows.push(span(
                             &format!(
                                 "dispatch {dispatch} ({tasks} task{})",
-                                if *tasks == 1 { "" } else { "s" }
+                                if tasks == 1 { "" } else { "s" }
                             ),
                             us(*start),
                             dur,
@@ -675,11 +608,11 @@ pub fn chrome_trace_json_grouped(groups: &[(&str, &[TraceEvent])], clock: Freque
                         format!(r#""stall_cycles":{}"#, stall.get()),
                     ));
                 }
-                FaultInjected { scope, seq } => rows.push(instant(
-                    &format!("fault {scope:?} #{seq}"),
+                FaultInjected { seq } => rows.push(instant(
+                    &format!("fault #{seq}"),
                     ts,
                     TID_QUEUE,
-                    format!(r#""scope":"{scope:?}","seq":{seq}"#),
+                    format!(r#""seq":{seq}"#),
                 )),
                 ReplicaDown { device, failures } => rows.push(instant(
                     &format!("replica down d{device}"),
@@ -746,42 +679,14 @@ pub fn chrome_trace_json_grouped(groups: &[(&str, &[TraceEvent])], clock: Freque
     out
 }
 
-/// Escapes a string for use as a Prometheus label *value*: per the text
-/// exposition format, backslash, double-quote, and line-feed must be
-/// escaped (`\\`, `\"`, `\n`); everything else passes through. Without
-/// this, a tenant named `a"b` or one containing a newline would inject
-/// into the exposition stream and break scrapes.
-pub fn label_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders queue and (optionally) device counters in the Prometheus
 /// text exposition format, including the per-stage latency totals
 /// (`queue_wait` / `dispatch` / `dma` / `device`) and latency quantiles
 /// from the bounded reservoir.
 ///
-/// Tenant series use the display name from
-/// [`QueueStats::tenant_names`] when one was configured (see
-/// `QueueConfig::with_tenant_label`), the numeric id otherwise; either
-/// way the label value goes through [`label_escape`]. The `apu_replica_*`
-/// series emitted by downstream serving reports carry no labels and need
-/// no escaping.
+/// Tenant series are labelled with the numeric [`crate::TenantId`], so
+/// no label value needs escaping.
 pub fn prometheus_text(queue: &QueueStats, vcu: Option<&VcuStats>) -> String {
-    let tenant_label = |id: &u64| -> String {
-        match queue.tenant_names.get(id) {
-            Some(name) => label_escape(name),
-            None => id.to_string(),
-        }
-    };
     let mut out = String::new();
     let counter = |name: &str, help: &str, value: String, out: &mut String| {
         let _ = writeln!(out, "# HELP {name} {help}");
@@ -889,7 +794,6 @@ pub fn prometheus_text(queue: &QueueStats, vcu: Option<&VcuStats>) -> String {
         );
         let _ = writeln!(out, "# TYPE apu_tenant_tasks_total counter");
         for (tenant, t) in &queue.per_tenant {
-            let tenant = tenant_label(tenant);
             for (state, value) in [
                 ("submitted", t.submitted),
                 ("completed", t.completed),
@@ -909,7 +813,6 @@ pub fn prometheus_text(queue: &QueueStats, vcu: Option<&VcuStats>) -> String {
         );
         let _ = writeln!(out, "# TYPE apu_tenant_stage_seconds_total counter");
         for (tenant, t) in &queue.per_tenant {
-            let tenant = tenant_label(tenant);
             let stages = t.stage_totals();
             for (stage, d) in [
                 ("queue_wait", stages.queue_wait),
@@ -930,7 +833,6 @@ pub fn prometheus_text(queue: &QueueStats, vcu: Option<&VcuStats>) -> String {
         );
         let _ = writeln!(out, "# TYPE apu_tenant_latency_seconds_total counter");
         for (tenant, t) in &queue.per_tenant {
-            let tenant = tenant_label(tenant);
             let _ = writeln!(
                 out,
                 "apu_tenant_latency_seconds_total{{tenant=\"{tenant}\"}} {:.9}",
@@ -993,7 +895,6 @@ mod tests {
                     handle: 0,
                     priority: Priority::Normal,
                     batch_key: Some(7),
-                    weight: 1,
                     deadline: None,
                 },
             },
@@ -1005,7 +906,6 @@ mod tests {
                     finish: Cycles::new(110),
                     cores: vec![0],
                     members: vec![0],
-                    tasks: 1,
                     batch_key: Some(7),
                 },
             },
@@ -1138,49 +1038,6 @@ mod tests {
         // Every non-comment line is "name[{labels}] value".
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert_eq!(line.split_whitespace().count(), 2, "line: {line}");
-        }
-    }
-
-    #[test]
-    fn label_escape_covers_the_exposition_metacharacters() {
-        assert_eq!(label_escape("plain"), "plain");
-        assert_eq!(label_escape("a\"b"), "a\\\"b");
-        assert_eq!(label_escape("a\\b"), "a\\\\b");
-        assert_eq!(label_escape("a\nb"), "a\\nb");
-        assert_eq!(label_escape("a\"b\n"), "a\\\"b\\n");
-    }
-
-    #[test]
-    fn prometheus_text_escapes_hostile_tenant_names() {
-        let mut stats = QueueStats::default();
-        stats.tenant_names.insert(7, "a\"b\n".to_string());
-        stats.tenant_names.insert(8, "back\\slash".to_string());
-        let t = stats.per_tenant.entry(7).or_default();
-        t.submitted = 2;
-        t.completed = 2;
-        let t8 = stats.per_tenant.entry(8).or_default();
-        t8.completed = 1;
-        let text = prometheus_text(&stats, None);
-        // The hostile name is escaped, so the exposition stays valid:
-        // one "name{labels} value" pair per line, no raw newline or
-        // unescaped quote leaks out of the label value.
-        assert!(text.contains("apu_tenant_tasks_total{tenant=\"a\\\"b\\n\",state=\"completed\"} 2"));
-        assert!(text.contains("apu_tenant_latency_seconds_total{tenant=\"back\\\\slash\"}"));
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            assert!(!line.is_empty(), "blank line injected");
-            // Label values contain no unescaped quote: stripping escaped
-            // sequences first, quotes must balance to an even count.
-            let stripped = line.replace("\\\\", "").replace("\\\"", "");
-            assert_eq!(
-                stripped.matches('"').count() % 2,
-                0,
-                "unbalanced quotes: {line}"
-            );
-            let name_part = line.split([' ', '{']).next().unwrap();
-            assert!(
-                name_part.starts_with("apu_"),
-                "line does not start with a metric name: {line}"
-            );
         }
     }
 }

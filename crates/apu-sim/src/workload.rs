@@ -92,8 +92,6 @@ pub struct TenantTraffic {
     pub tenant: TenantId,
     /// Priority class of this tenant's arrivals.
     pub priority: Priority,
-    /// Logical weight per arrival (see [`crate::TaskSpec::weight`]).
-    pub weight: u64,
     /// Per-request latency SLO; generated arrivals carry
     /// `deadline = at + slo` when set.
     pub slo: Option<Duration>,
@@ -102,12 +100,11 @@ pub struct TenantTraffic {
 }
 
 impl TenantTraffic {
-    /// A tenant stream with `Normal` priority, weight 1, and no SLO.
+    /// A tenant stream with `Normal` priority and no SLO.
     pub fn new(tenant: TenantId, process: ArrivalProcess) -> Self {
         TenantTraffic {
             tenant,
             priority: Priority::Normal,
-            weight: 1,
             slo: None,
             process,
         }
@@ -117,13 +114,6 @@ impl TenantTraffic {
     #[must_use]
     pub fn priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
-        self
-    }
-
-    /// Sets the per-arrival logical weight.
-    #[must_use]
-    pub fn weight(mut self, weight: u64) -> Self {
-        self.weight = weight.max(1);
         self
     }
 
@@ -167,7 +157,6 @@ impl TrafficSpec {
                     at: now,
                     tenant: t.tenant,
                     priority: t.priority,
-                    weight: t.weight,
                     deadline: t.slo.map(|s| now + s),
                 });
             }
@@ -236,8 +225,6 @@ pub struct ArrivalEvent {
     pub tenant: TenantId,
     /// Priority class.
     pub priority: Priority,
-    /// Logical weight.
-    pub weight: u64,
     /// Absolute start deadline (`at + slo`), when the tenant has one.
     pub deadline: Option<Duration>,
 }
@@ -250,11 +237,6 @@ pub struct WorkloadTrace {
 }
 
 impl WorkloadTrace {
-    /// Total logical tasks in the trace.
-    pub fn total_weight(&self) -> u64 {
-        self.events.iter().map(|e| e.weight).sum()
-    }
-
     /// The arrivals of one tenant, in time order.
     pub fn for_tenant(&self, tenant: TenantId) -> impl Iterator<Item = &ArrivalEvent> {
         self.events.iter().filter(move |e| e.tenant == tenant)
@@ -332,8 +314,7 @@ mod tests {
                     period: Duration::from_millis(20),
                     burst_len: Duration::from_millis(2),
                 },
-            )
-            .weight(2),
+            ),
         ])
     }
 
@@ -367,7 +348,6 @@ mod tests {
             assert_eq!(e.deadline, Some(e.at + Duration::from_millis(1)));
             assert_eq!(e.priority, Priority::High);
         }
-        assert!(trace.total_weight() > trace.events.len() as u64);
     }
 
     #[test]

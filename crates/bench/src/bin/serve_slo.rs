@@ -28,8 +28,8 @@ use std::time::Duration;
 
 use apu_sim::trace::prometheus_text;
 use apu_sim::{
-    AdmissionControl, ArrivalProcess, ExecMode, Priority, QueueConfig, SchedPolicy, SimConfig,
-    TenantId, TenantTraffic, TrafficSpec, WorkloadTrace,
+    AdmissionControl, ArrivalProcess, ExecMode, QueueConfig, SchedPolicy, SimConfig, TenantId,
+    TenantTraffic, TrafficSpec, WorkloadTrace,
 };
 use cis_bench::table::{print_table, section};
 use hbm_sim::{DramSpec, MemorySystem};
@@ -338,10 +338,9 @@ fn run_arm(
     let mut server =
         ShardedRagServer::new(store, shards, sim(), cfg).expect("cluster construction");
     for (i, e) in trace.events.iter().enumerate() {
-        let mut q = QuerySpec::new(e.at, query(i)).tenant(e.tenant);
-        if e.priority != Priority::Normal {
-            q = q.priority(e.priority);
-        }
+        let mut q = QuerySpec::new(e.at, query(i))
+            .tenant(e.tenant)
+            .priority(e.priority);
         // Only the SLO engine knows about deadlines: a query that cannot
         // start within its SLO is shed there instead of served late.
         if slo_arm {

@@ -271,15 +271,8 @@ impl ApuRetriever {
                 }
                 core.add_subgrp_s16(VR_T, VR_T, group, group)?;
                 // scattered score extraction
-                let pairs: Vec<(usize, usize)> = (0..chunks_per_pass)
-                    .map(|s| s * group)
-                    .map(|p| (p, p))
-                    .collect();
-                let mut scores = Vec::with_capacity(chunks_per_pass);
-                for (_, src) in &pairs {
-                    scores.push(ctx.pio_get(VR_T, *src)?);
-                }
-                for (s, v) in scores.into_iter().enumerate() {
+                for s in 0..chunks_per_pass {
+                    let v = ctx.pio_get(VR_T, s * group)?;
                     let c = pass * chunks_per_pass + s;
                     if c < n_chunks {
                         hits.push(Hit {

@@ -51,9 +51,9 @@ use std::time::Duration;
 use apu_sim::queue::percentile;
 use apu_sim::trace::prometheus_text;
 use apu_sim::{
-    chrome_trace_json_grouped, ApuDevice, ChromeTraceSink, Completion, DeviceCluster, Error,
-    FaultPlan, Priority, QueueConfig, QueueStats, RetryPolicy, SimConfig, StageBreakdown,
-    TaskHandle, TaskSpec, TenantId, TraceEvent,
+    chrome_trace_json_grouped, ApuDevice, Completion, DeviceCluster, Error, FaultPlan, Priority,
+    QueueConfig, QueueStats, RetryPolicy, SimConfig, StageBreakdown, TaskHandle, TaskSpec,
+    TenantId, TraceEvent, TraceRecorder,
 };
 use hbm_sim::{DramSpec, MemorySystem};
 
@@ -79,8 +79,6 @@ pub struct ServeConfig {
     pub batch_window: Duration,
     /// Command-queue configuration (admission control bound).
     pub queue: QueueConfig,
-    /// Priority retrieval batches are submitted at.
-    pub priority: Priority,
     /// Per-query time-to-live: a query that cannot start within `ttl`
     /// of its arrival is shed as `DeadlineExceeded` without dispatching
     /// (graceful degradation under overload). `None` disables shedding.
@@ -109,13 +107,10 @@ pub struct ServeConfig {
     /// clamped) disables replication and is byte-identical to the
     /// unreplicated server.
     pub replicas: usize,
-    /// How retrievals execute by default: [`IndexMode::Flat`] (the
-    /// paper's exact scan) or [`IndexMode::Ivf`] cluster-pruned search.
-    /// A sharded server builds one IVF index **per shard base segment**
-    /// and keeps the exact global top-k merge unchanged; a per-query
-    /// [`QuerySpec::index`] overrides this default, and queries with
-    /// different index modes never share a batch
-    /// ([`crate::mutable::snapshot_batch_key`]).
+    /// How every retrieval executes: [`IndexMode::Flat`] (the paper's
+    /// exact scan) or [`IndexMode::Ivf`] cluster-pruned search. A
+    /// sharded server builds one IVF index **per shard base segment**
+    /// and keeps the exact global top-k merge unchanged.
     pub index: IndexMode,
     /// Priority background compaction tasks are submitted at on a
     /// mutable server (see [`ShardedRagServer::new_mutable`]). The
@@ -133,7 +128,6 @@ impl Default for ServeConfig {
             max_batch: MAX_BATCH,
             batch_window: Duration::from_millis(2),
             queue: QueueConfig::default(),
-            priority: Priority::Normal,
             ttl: None,
             retry: None,
             hedge: None,
@@ -145,29 +139,27 @@ impl Default for ServeConfig {
 }
 
 /// Submission parameters of one query: arrival time plus optional
-/// tenant tag, per-query priority, and per-query TTL (overriding the
-/// server-wide [`ServeConfig`] defaults). Build with [`QuerySpec::new`]
-/// and pass to [`ShardedRagServer::submit_query`].
+/// tenant tag, priority, and per-query TTL (overriding the server-wide
+/// [`ServeConfig::ttl`]). Build with [`QuerySpec::new`] and pass to
+/// [`ShardedRagServer::submit_query`].
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
     arrival: Duration,
     tenant: TenantId,
-    priority: Option<Priority>,
+    priority: Priority,
     ttl: Option<Duration>,
-    index: Option<IndexMode>,
     query: Vec<i16>,
 }
 
 impl QuerySpec {
-    /// A query arriving at `arrival` on the virtual timeline, with the
-    /// server-wide defaults for everything else.
+    /// A query arriving at `arrival` on the virtual timeline, from
+    /// tenant 0 at [`Priority::Normal`], with the server-wide TTL.
     pub fn new(arrival: Duration, query: Vec<i16>) -> Self {
         QuerySpec {
             arrival,
             tenant: TenantId::default(),
-            priority: None,
+            priority: Priority::Normal,
             ttl: None,
-            index: None,
             query,
         }
     }
@@ -180,10 +172,11 @@ impl QuerySpec {
         self
     }
 
-    /// Overrides the server-wide submission priority for this query.
+    /// Sets the submission priority of this query (default
+    /// [`Priority::Normal`]).
     #[must_use]
     pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = Some(priority);
+        self.priority = priority;
         self
     }
 
@@ -192,16 +185,6 @@ impl QuerySpec {
     #[must_use]
     pub fn ttl(mut self, ttl: Duration) -> Self {
         self.ttl = Some(ttl);
-        self
-    }
-
-    /// Overrides the server-wide [`ServeConfig::index`] mode for this
-    /// query — e.g. an exact flat scan for one audit query on an
-    /// otherwise IVF-served stream. Queries with different index modes
-    /// never share a batch.
-    #[must_use]
-    pub fn index(mut self, index: IndexMode) -> Self {
-        self.index = Some(index);
         self
     }
 }
@@ -637,7 +620,7 @@ pub struct ShardedRagServer {
     next_ticket: u64,
     /// Queries refused at submission since the last drain.
     rejected: usize,
-    traces: Option<Vec<Rc<RefCell<ChromeTraceSink>>>>,
+    traces: Option<Vec<Rc<RefCell<TraceRecorder>>>>,
     /// The corpus every query scans a snapshot of.
     corpus: MutableCorpus,
     /// Whether the corpus accepts writes
@@ -885,20 +868,20 @@ impl ShardedRagServer {
         self.replica_device_mut(shard, replica).inject_faults(plan);
     }
 
-    /// Installs a Chrome trace sink on every shard's device. Idempotent;
+    /// Installs a [`TraceRecorder`] on every shard's device. Idempotent;
     /// events accumulate across drains until
     /// [`ShardedRagServer::take_chrome_trace`].
     pub fn enable_tracing(&mut self) {
         if self.traces.is_some() {
             return;
         }
-        let mut sinks = Vec::with_capacity(self.devices.len());
+        let mut recorders = Vec::with_capacity(self.devices.len());
         for dev in &mut self.devices {
-            let (sink, shared) = ChromeTraceSink::shared(dev.config().clock);
+            let (sink, recorder) = TraceRecorder::shared();
             dev.install_trace_sink(sink);
-            sinks.push(shared);
+            recorders.push(recorder);
         }
-        self.traces = Some(sinks);
+        self.traces = Some(recorders);
     }
 
     /// Detaches the trace sinks and renders the accumulated events as
@@ -912,15 +895,8 @@ impl ShardedRagServer {
             dev.clear_trace_sink();
         }
         let clock = self.devices[0].config().clock;
-        let sinks: Vec<ChromeTraceSink> = shared
-            .into_iter()
-            .map(|rc| {
-                Rc::try_unwrap(rc)
-                    .expect("devices released their trace sinks")
-                    .into_inner()
-            })
-            .collect();
-        let names: Vec<String> = (0..sinks.len())
+        let recorders: Vec<TraceRecorder> = shared.iter().map(|rc| rc.take()).collect();
+        let names: Vec<String> = (0..recorders.len())
             .map(|d| {
                 if self.replicas == 1 {
                     format!("shard {d}")
@@ -932,15 +908,16 @@ impl ShardedRagServer {
             .collect();
         let groups: Vec<(&str, &[TraceEvent])> = names
             .iter()
-            .zip(&sinks)
-            .map(|(name, sink)| (name.as_str(), sink.events()))
+            .zip(&recorders)
+            .map(|(name, recorder)| (name.as_str(), recorder.events()))
             .collect();
         Some(chrome_trace_json_grouped(&groups, clock))
     }
 
     /// Accepts one query arriving at `arrival` on the virtual timeline,
-    /// with the server-wide tenant/priority/TTL defaults (shorthand for
-    /// [`ShardedRagServer::submit_query`] with a bare [`QuerySpec`]).
+    /// with the default tenant and priority and the server-wide TTL
+    /// (shorthand for [`ShardedRagServer::submit_query`] with a bare
+    /// [`QuerySpec`]).
     ///
     /// # Errors
     ///
@@ -1037,9 +1014,8 @@ impl ShardedRagServer {
             queue_cfg = queue_cfg.with_retry(policy);
         }
         let hedge = self.cfg.hedge;
-        let default_priority = self.cfg.priority;
         let default_ttl = self.cfg.ttl;
-        let cfg_index = self.cfg.index;
+        let mode = self.cfg.index;
 
         // Build (once, cached across drains) every per-shard IVF index
         // this drain needs; a shard's replicas share the index, and the
@@ -1048,17 +1024,15 @@ impl ShardedRagServer {
         // cache, so a compacted base can never serve a stale index.
         // Deltas stay flat-scanned — they are small and short-lived by
         // design.
-        for p in &queries {
-            if let IndexMode::Ivf { nlist, .. } = p.spec.index.unwrap_or(cfg_index) {
-                for sh in &p.snapshot.shards {
-                    let base = &sh.segments[0].store;
-                    if base.spec().chunks == 0 {
-                        continue;
-                    }
-                    self.ivf
-                        .entry((base.epoch(), nlist))
-                        .or_insert_with(|| IvfIndex::build(base, nlist));
+        if let IndexMode::Ivf { nlist, .. } = mode {
+            for sh in queries.iter().flat_map(|p| &p.snapshot.shards) {
+                let base = &sh.segments[0].store;
+                if base.spec().chunks == 0 {
+                    continue;
                 }
+                self.ivf
+                    .entry((base.epoch(), nlist))
+                    .or_insert_with(|| IvfIndex::build(base, nlist));
             }
         }
         // Drop cached indexes whose base epoch no live query references
@@ -1087,7 +1061,6 @@ impl ShardedRagServer {
             tenant: TenantId,
             priority: Priority,
             ttl: Option<Duration>,
-            index: IndexMode,
             query: Vec<i16>,
             snapshot: Arc<Snapshot>,
         }
@@ -1097,9 +1070,8 @@ impl ShardedRagServer {
                 ticket: p.ticket.0,
                 arrival: p.spec.arrival,
                 tenant: p.spec.tenant,
-                priority: p.spec.priority.unwrap_or(default_priority),
+                priority: p.spec.priority,
                 ttl: p.spec.ttl.or(default_ttl),
-                index: p.spec.index.unwrap_or(cfg_index),
                 query: p.spec.query,
                 snapshot: p.snapshot,
             })
@@ -1126,7 +1098,7 @@ impl ShardedRagServer {
             // Scan the pinned shard view — base + sealed deltas minus
             // tombstones — through the batched kernel. The base may run
             // through its per-epoch IVF index; deltas always scan flat.
-            let index = match info.index {
+            let index = match mode {
                 IndexMode::Flat => None,
                 IndexMode::Ivf { nlist, nprobe } => {
                     let base = &info.snapshot.shards[s].segments[0].store;
@@ -1147,7 +1119,7 @@ impl ShardedRagServer {
                 });
             // Queries batch by (shard, snapshot id, k, mode): same-snapshot
             // queries coalesce, cross-snapshot never do.
-            let key = snapshot_batch_key(s, info.snapshot.id, k, info.index);
+            let key = snapshot_batch_key(s, info.snapshot.id, k, mode);
             let mut task = TaskSpec::batch(key, Box::new(info.query.clone()), run)
                 .priority(prio)
                 .at(at)
@@ -1911,24 +1883,6 @@ mod tests {
             );
         }
         assert!(report.ivf.searches >= 3, "one IVF dispatch per shard");
-    }
-
-    #[test]
-    fn per_query_index_override_never_batches_with_flat() {
-        let store = corpus(4_096);
-        let mut server = single(&store, ServeConfig::default());
-        server.submit(Duration::ZERO, store.query(0)).unwrap();
-        server
-            .submit_query(
-                QuerySpec::new(Duration::ZERO, store.query(1)).index(IndexMode::ivf_default()),
-            )
-            .unwrap();
-        let report = server.drain().unwrap();
-        assert_eq!(report.served(), 2);
-        // Different index modes may not coalesce into one dispatch.
-        assert_eq!(report.queue.dispatches, 2);
-        assert!(report.completions.iter().all(|c| c.batch_size == 1));
-        assert_eq!(report.ivf.queries, 1);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 
 use std::time::Duration;
 
+use apu_sim::trace::chrome_trace_json;
 use apu_sim::{
-    ApuDevice, ChromeTraceSink, DeviceQueue, FaultPlan, Priority, QueueConfig, RetryPolicy,
-    SharedSink, SimConfig,
+    ApuDevice, DeviceQueue, FaultPlan, Priority, QueueConfig, RetryPolicy, SharedSink, SimConfig,
+    TraceRecorder,
 };
 use phoenix::{histogram, OptConfig};
 use rag::{CorpusSpec, EmbeddingStore, ServeConfig, ShardedRagServer};
@@ -35,11 +36,10 @@ fn main() -> Result<(), apu_sim::Error> {
     let sim = SimConfig::default().with_l4_bytes(16 << 20);
     let mut dev = ApuDevice::try_new(sim.clone())?;
     // Optional device-timeline tracing: every queue, core, and DMA
-    // engine gets its own Perfetto track. The sink shares the device's
-    // clock so cycle stamps render in wall microseconds, and every
-    // server device below records into the same sink.
+    // engine gets its own Perfetto track, and every server device below
+    // records into the same sink.
     let trace = std::env::var_os("SERVE_TRACE_OUT").map(|path| {
-        let (sink, recorder) = ChromeTraceSink::shared(dev.config().clock);
+        let (sink, recorder) = TraceRecorder::shared();
         dev.install_trace_sink(sink);
         (path, recorder)
     });
@@ -220,11 +220,13 @@ fn main() -> Result<(), apu_sim::Error> {
     // ---- 6. export the recorded device timeline, if requested ----
     if let Some((path, recorder)) = trace {
         dev.clear_trace_sink();
-        let sink = recorder.borrow();
-        std::fs::write(&path, sink.json()).expect("write trace file");
+        // The device clock converts cycle stamps to wall microseconds.
+        let recorded = recorder.borrow();
+        let json = chrome_trace_json(recorded.events(), dev.config().clock);
+        std::fs::write(&path, json).expect("write trace file");
         println!(
             "wrote {} trace events to {} (open in https://ui.perfetto.dev)",
-            sink.events().len(),
+            recorded.len(),
             path.to_string_lossy(),
         );
     }

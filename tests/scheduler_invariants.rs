@@ -25,8 +25,8 @@ use std::time::Duration;
 
 use apu_sim::{
     AdmissionControl, ApuDevice, BatchKey, Completion, DeviceQueue, Error, FaultPlan, Priority,
-    QueueConfig, RetryPolicy, SimConfig, TaskHandle, TaskSpec, TenantId, TraceEventKind,
-    TraceRecorder, VecOp,
+    QueueConfig, RetryPolicy, SimConfig, TaskHandle, TaskSpec, TenantId, TenantStats,
+    TraceEventKind, TraceRecorder, VecOp,
 };
 use hbm_sim::{DramSpec, MemorySystem};
 use proptest::prelude::*;
@@ -327,25 +327,28 @@ fn batched_drain_beats_unbatched_at_equal_offered_load() {
     );
 }
 
-/// One generated submission: `(kind, priority, arrival_us, weight,
+/// One generated submission: `(kind, priority, arrival_us, service_us,
 /// ttl_us, job_fails)`. Kind 0 is a plain job (no batch key); kinds 1–3
-/// are batch members keyed by their kind. A zero TTL means none.
+/// are batch members keyed by their kind, and the service time is the
+/// whole dispatch's. A zero TTL means none.
 type GenTask = (u8, u8, u64, u64, u64, bool);
 
-/// Submits one generated task, returning its handle, key, and weight on
+/// Submits one generated task, returning its handle and key on
 /// admission.
 fn submit_generated(
     q: &mut DeviceQueue<'_, '_>,
     i: usize,
-    &(kind, prio, at, weight, ttl_us, fails): &GenTask,
-) -> apu_sim::Result<(TaskHandle, Option<BatchKey>, u64)> {
+    &(kind, prio, at, service_us, ttl_us, fails): &GenTask,
+) -> apu_sim::Result<(TaskHandle, Option<BatchKey>)> {
     let key = (kind > 0).then(|| BatchKey::new(u64::from(kind)));
+    let service = Duration::from_micros(service_us);
     let mut spec = match key {
         None => TaskSpec::job(Box::new(move |dev: &mut ApuDevice| {
-            let r = dev.run_task(|ctx| {
+            let mut r = dev.run_task(|ctx| {
                 ctx.core_mut().charge(VecOp::AddU16);
                 Ok(())
             })?;
+            r.duration = service;
             if fails {
                 return Err(Error::TaskFailed("generated job failure".into()));
             }
@@ -354,11 +357,12 @@ fn submit_generated(
         Some(key) => TaskSpec::batch(
             key,
             Box::new(i),
-            Box::new(|dev: &mut ApuDevice, payloads: Vec<Box<dyn Any>>| {
-                let report = dev.run_task(|ctx| {
+            Box::new(move |dev: &mut ApuDevice, payloads: Vec<Box<dyn Any>>| {
+                let mut report = dev.run_task(|ctx| {
                     ctx.core_mut().charge(VecOp::MulS16);
                     Ok(())
                 })?;
+                report.duration = service;
                 Ok((report, payloads.into_iter().map(Ok).collect()))
             }),
         ),
@@ -367,35 +371,41 @@ fn submit_generated(
     spec = spec
         .priority(priority)
         .tenant(TenantId::new(i as u64 % 3))
-        .at(Duration::from_micros(at))
-        .weight(weight);
+        .at(Duration::from_micros(at));
     if ttl_us > 0 {
         spec = spec.ttl(Duration::from_micros(ttl_us));
     }
-    q.submit(spec).map(|h| (h, key, weight))
+    q.submit(spec).map(|h| (h, key))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Plain jobs and batch members ride one dispatch path, so one
-    /// accounting identity covers both: in weight units, everything
+    /// accounting identity covers both: counted in tasks, everything
     /// admitted is completed, failed, expired, or shed — under random
     /// task faults, retry on or off, TTLs, admission watermarks, and a
-    /// small `max_pending`. Every admitted handle retires exactly once,
+    /// small `max_pending`. Each counter matches the completions that
+    /// retired that way, and the per-tenant slices sum to the
+    /// queue-wide counters. Every admitted handle retires exactly once,
     /// a rejected submission never retires, and an unkeyed task retires
     /// alone with no batch key and never joins a `BatchFormed`.
+    ///
+    /// One core and service times comparable to the arrival gaps build
+    /// the backlogs that deadlines and admission watermarks act on; at
+    /// the kernels' own nanosecond service no case is ever
+    /// admission-shed.
     #[test]
-    fn every_admitted_weight_unit_is_accounted_for(
+    fn every_admitted_task_is_accounted_for(
         tasks in proptest::collection::vec(
-            (0u8..4, 0u8..3, 0u64..400, 1u64..4, 0u64..600, any::<bool>()),
+            (0u8..4, 0u8..3, 0u64..400, 1u64..200, 0u64..600, any::<bool>()),
             1..24,
         ),
         (fault_pct, retry, max_pending, max_batch) in
             (0u32..60, any::<bool>(), 2usize..12, 1usize..5),
         (admit_low, admit_span, seed) in (0usize..8, 0usize..6, 0u64..1_000),
     ) {
-        let mut dev = device();
+        let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(1 << 20).with_cores(1));
         if fault_pct > 0 {
             dev.inject_faults(FaultPlan::new(seed).fail_task_rate(f64::from(fault_pct) / 100.0));
         }
@@ -413,12 +423,12 @@ proptest! {
         }
         let mut q = DeviceQueue::new(&mut dev, cfg);
 
-        let mut admitted: HashMap<TaskHandle, (Option<BatchKey>, u64)> = HashMap::new();
+        let mut admitted: HashMap<TaskHandle, Option<BatchKey>> = HashMap::new();
         let mut rejected = 0u64;
         for (i, task) in tasks.iter().enumerate() {
             match submit_generated(&mut q, i, task) {
-                Ok((h, key, weight)) => {
-                    admitted.insert(h, (key, weight));
+                Ok((h, key)) => {
+                    admitted.insert(h, key);
                 }
                 Err(Error::QueueFull { .. }) => rejected += 1,
                 Err(e) => panic!("unexpected submission error: {e}"),
@@ -434,38 +444,50 @@ proptest! {
         dev.clear_trace_sink();
 
         let mut retired = HashSet::new();
+        let (mut ok, mut failed, mut expired, mut shed) = (0u64, 0u64, 0u64, 0u64);
         for c in &done {
-            let Some(&(key, weight)) = admitted.get(&c.handle) else {
+            let Some(&key) = admitted.get(&c.handle) else {
                 panic!("handle {} retired but was never admitted", c.handle.id());
             };
             prop_assert!(retired.insert(c.handle), "handle {} retired twice", c.handle.id());
             prop_assert_eq!(c.batch_key, key);
             if key.is_none() {
-                prop_assert_eq!(c.batch_size, weight as usize, "an unkeyed task rides alone");
+                prop_assert_eq!(c.batch_size, 1, "an unkeyed task rides alone");
+            }
+            match c.error() {
+                None => ok += 1,
+                Some(Error::DeadlineExceeded { .. }) => expired += 1,
+                Some(Error::AdmissionShed { .. }) => shed += 1,
+                Some(_) => failed += 1,
             }
         }
         prop_assert_eq!(retired.len(), admitted.len(), "every admitted handle retires");
         prop_assert_eq!(stats.rejected, rejected);
         prop_assert_eq!(stats.submitted, admitted.len() as u64);
-
-        let admitted_weight: u64 = admitted.values().map(|&(_, w)| w).sum();
         prop_assert_eq!(
-            admitted_weight,
+            stats.submitted,
             stats.completed + stats.failed + stats.expired + stats.shed_admission
         );
-        let ok_weight: u64 = done
-            .iter()
-            .filter(|c| c.is_ok())
-            .map(|c| admitted[&c.handle].1)
-            .sum();
-        prop_assert_eq!(ok_weight, stats.completed);
+        prop_assert_eq!(
+            (ok, failed, expired, shed),
+            (stats.completed, stats.failed, stats.expired, stats.shed_admission)
+        );
+
+        let tenant_sum = |f: fn(&TenantStats) -> u64| -> u64 {
+            stats.per_tenant.values().map(f).sum()
+        };
+        prop_assert_eq!(tenant_sum(|t| t.submitted), stats.submitted);
+        prop_assert_eq!(tenant_sum(|t| t.completed), stats.completed);
+        prop_assert_eq!(tenant_sum(|t| t.failed), stats.failed);
+        prop_assert_eq!(tenant_sum(|t| t.expired), stats.expired);
+        prop_assert_eq!(tenant_sum(|t| t.shed), stats.shed_admission);
         for t in stats.per_tenant.values() {
             prop_assert_eq!(t.submitted, t.completed + t.failed + t.expired + t.shed);
         }
 
         let unkeyed: HashSet<u64> = admitted
             .iter()
-            .filter(|(_, (key, _))| key.is_none())
+            .filter(|(_, key)| key.is_none())
             .map(|(h, _)| h.id())
             .collect();
         for e in recorder.borrow().events() {

@@ -69,7 +69,7 @@ fn serve_traced(
     }
     let report = server.drain().expect("drain");
     let dev = server.device_mut(0);
-    let injected = dev.fault_counts().injected_total();
+    let injected = dev.fault_counts().tasks_injected;
     dev.clear_trace_sink();
     let events = recorder.borrow().events().to_vec();
     (report, events, injected)
@@ -245,9 +245,9 @@ fn span_timestamps_are_monotone_per_track() {
     }
 }
 
-/// Trace-side task accounting equals [`QueueStats`] accounting: summed
-/// `DispatchIssued::tasks` equals `dispatched_tasks`, and terminal /
-/// retry event counts match the failure counters.
+/// Trace-side task accounting equals [`QueueStats`] accounting: the
+/// summed `DispatchIssued` member counts equal `dispatched_tasks`, and
+/// terminal / retry event counts match the failure counters.
 #[test]
 fn trace_accounting_matches_queue_stats() {
     let (report, events, _) = serve_traced(24, 0.0, None);
@@ -255,14 +255,16 @@ fn trace_accounting_matches_queue_stats() {
     let mut batch_members = 0u64;
     for e in &events {
         match &e.kind {
-            TraceEventKind::DispatchIssued { tasks, .. } => dispatched_tasks += tasks,
+            TraceEventKind::DispatchIssued { members, .. } => {
+                dispatched_tasks += members.len() as u64
+            }
             TraceEventKind::BatchFormed { members, .. } => batch_members += members.len() as u64,
             _ => {}
         }
     }
     assert_eq!(
         dispatched_tasks, report.queue.dispatched_tasks,
-        "summed DispatchIssued::tasks must equal QueueStats::dispatched_tasks"
+        "summed DispatchIssued members must equal QueueStats::dispatched_tasks"
     );
     // Every submission here is batchable and fault-free, so each query
     // is dispatched exactly once by the batch it was formed into.
