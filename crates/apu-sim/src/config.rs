@@ -71,8 +71,8 @@ pub struct SimConfig {
     /// Opt-in timing fast-forward: lets [`crate::ApuDevice`] replay the
     /// memoized cycle charge of a previously executed kernel signature
     /// instead of re-walking its micro-ops. Only ever consulted in
-    /// timing-only mode with no fault plan and no trace sink installed,
-    /// so it cannot change any observable output — only wall-clock.
+    /// timing-only mode with no trace sink installed, so it cannot
+    /// change any observable output — only wall-clock.
     /// Defaults from the `APU_SIM_FAST_FORWARD` environment variable
     /// (`1`/`true` to enable).
     #[serde(default)]

@@ -737,7 +737,7 @@ pub fn prometheus_text(queue: &QueueStats, vcu: Option<&VcuStats>) -> String {
     );
     counter(
         "apu_queue_dispatched_tasks_total",
-        "Logical tasks carried by device dispatches",
+        "Tasks carried by device dispatches",
         queue.dispatched_tasks.to_string(),
         &mut out,
     );
@@ -790,7 +790,7 @@ pub fn prometheus_text(queue: &QueueStats, vcu: Option<&VcuStats>) -> String {
     if !queue.per_tenant.is_empty() {
         let _ = writeln!(
             out,
-            "# HELP apu_tenant_tasks_total Logical task units by tenant and disposition"
+            "# HELP apu_tenant_tasks_total Tasks by tenant and disposition"
         );
         let _ = writeln!(out, "# TYPE apu_tenant_tasks_total counter");
         for (tenant, t) in &queue.per_tenant {

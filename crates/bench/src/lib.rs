@@ -1,7 +1,8 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§5). One binary per artifact — see DESIGN.md §4 for the
-//! experiment index — plus Criterion micro/ablation benches under
-//! `benches/`.
+//! experiment index. The root package's `tests/paper_conformance.rs`
+//! asserts what the table and figure binaries print, through the same
+//! library calls (for Tables 6/7 and Fig 13, [`phoenix_suite::run_app`]).
 //!
 //! Every binary accepts:
 //!

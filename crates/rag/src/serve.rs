@@ -52,8 +52,8 @@ use apu_sim::queue::percentile;
 use apu_sim::trace::prometheus_text;
 use apu_sim::{
     chrome_trace_json_grouped, ApuDevice, Completion, DeviceCluster, Error, FaultPlan, Priority,
-    QueueConfig, QueueStats, RetryPolicy, SimConfig, StageBreakdown, TaskHandle, TaskSpec,
-    TenantId, TraceEvent, TraceRecorder,
+    QueueConfig, QueueStats, SimConfig, StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
+    TraceRecorder,
 };
 use hbm_sim::{DramSpec, MemorySystem};
 
@@ -77,16 +77,19 @@ pub struct ServeConfig {
     /// A batch closes when the next query arrives later than this after
     /// the batch's first query (bounds batching-induced latency).
     pub batch_window: Duration,
-    /// Command-queue configuration (admission control bound).
+    /// Command-queue configuration. The server reads
+    /// [`QueueConfig::max_pending`] at submit (the admission bound) and
+    /// hands the rest — scheduler, tenant weights, admission watermarks
+    /// and retry policy — to every device queue of the drain. The drain
+    /// replaces `max_batch` and `max_batch_wait` with
+    /// [`ServeConfig::max_batch`] and [`ServeConfig::batch_window`], and
+    /// leaves the fan-out unbounded.
     pub queue: QueueConfig,
     /// Per-query time-to-live: a query that cannot start within `ttl`
     /// of its arrival is shed as `DeadlineExceeded` without dispatching
     /// (graceful degradation under overload). `None` disables shedding.
     /// A per-query TTL ([`QuerySpec::ttl`]) overrides this default.
     pub ttl: Option<Duration>,
-    /// Bounded retry-with-backoff for transiently faulted queries.
-    /// `None` disables retries.
-    pub retry: Option<RetryPolicy>,
     /// Tail-latency hedging: when set, every shard fan-out task gets a
     /// speculative **hedge copy** submitted this long after the
     /// primary's arrival at [`Priority::High`] with the *primary's*
@@ -129,7 +132,6 @@ impl Default for ServeConfig {
             batch_window: Duration::from_millis(2),
             queue: QueueConfig::default(),
             ttl: None,
-            retry: None,
             hedge: None,
             replicas: 1,
             index: IndexMode::Flat,
@@ -545,14 +547,21 @@ impl ServeReport {
         out
     }
 
-    /// Mean batch size over served queries.
+    /// Mean batch size over served queries; 0.0 when nothing was
+    /// served. Shed and faulted queries never rode a batch, so they are
+    /// left out, as in [`ServeReport::latency_percentile`].
     pub fn mean_batch_size(&self) -> f64 {
-        if self.completions.is_empty() {
-            0.0
-        } else {
-            let total: usize = self.completions.iter().map(|c| c.batch_size).sum();
-            total as f64 / self.completions.len() as f64
+        let served = self.served();
+        if served == 0 {
+            return 0.0;
         }
+        let total: usize = self
+            .completions
+            .iter()
+            .filter(|c| c.is_ok())
+            .map(|c| c.batch_size)
+            .sum();
+        total as f64 / served as f64
     }
 }
 
@@ -1003,16 +1012,13 @@ impl ShardedRagServer {
         // Admission already happened per query at submit; the fan-out
         // (one copy per shard, plus hedge copies) must not be refused
         // again, or admitted queries would vanish uncounted.
-        let mut queue_cfg = self
+        let queue_cfg = self
             .cfg
             .queue
             .clone()
             .with_max_pending(usize::MAX)
             .with_max_batch(self.cfg.max_batch.clamp(1, MAX_BATCH))
             .with_max_batch_wait(self.cfg.batch_window);
-        if let Some(policy) = self.cfg.retry {
-            queue_cfg = queue_cfg.with_retry(policy);
-        }
         let hedge = self.cfg.hedge;
         let default_ttl = self.cfg.ttl;
         let mode = self.cfg.index;
@@ -1488,6 +1494,26 @@ mod tests {
         assert_eq!(report.queue.dispatched_tasks, 4);
         assert_eq!(report.queue.max_batch_size, 4);
         assert!(report.throughput_qps() > 0.0);
+    }
+
+    #[test]
+    fn mean_batch_size_counts_served_queries_only() {
+        // One core: a full batch of 12 holds it for milliseconds, so a
+        // 13th query with a 1 µs TTL is shed before it can start.
+        let store = corpus(4096);
+        let sim = SimConfig::default().with_l4_bytes(8 << 20).with_cores(1);
+        let mut server = ShardedRagServer::new(&store, 1, sim, ServeConfig::default()).unwrap();
+        for i in 0..12 {
+            server.submit(Duration::ZERO, store.query(i)).unwrap();
+        }
+        server
+            .submit_query(
+                QuerySpec::new(Duration::ZERO, store.query(12)).ttl(Duration::from_micros(1)),
+            )
+            .unwrap();
+        let report = server.drain().unwrap();
+        assert_eq!((report.served(), report.failed()), (12, 1));
+        assert_eq!(report.mean_batch_size(), 12.0);
     }
 
     #[test]

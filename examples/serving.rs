@@ -144,10 +144,13 @@ fn main() -> Result<(), apu_sim::Error> {
     let degraded = {
         let cfg = ServeConfig {
             ttl: Some(Duration::from_millis(2)),
-            retry: Some(RetryPolicy {
-                max_retries: 1,
-                ..RetryPolicy::default()
-            }),
+            queue: QueueConfig {
+                retry: Some(RetryPolicy {
+                    max_retries: 1,
+                    ..RetryPolicy::default()
+                }),
+                ..QueueConfig::default()
+            },
             ..ServeConfig::default()
         };
         let mut server = single(cfg)?;

@@ -35,7 +35,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use apu_sim::{ExecMode, FaultPlan, RetryPolicy, SimConfig};
+use apu_sim::{ExecMode, FaultPlan, QueueConfig, RetryPolicy, SimConfig};
 use proptest::prelude::*;
 use rag::cpu::dot;
 use rag::{
@@ -294,11 +294,14 @@ fn bounded_retry_outlasts_a_transient_compaction_fault() {
         sim(ExecMode::Functional),
         ServeConfig {
             k,
-            retry: Some(RetryPolicy {
-                max_retries: 3,
-                backoff: Duration::from_micros(50),
-                multiplier: 2.0,
-            }),
+            queue: QueueConfig {
+                retry: Some(RetryPolicy {
+                    max_retries: 3,
+                    backoff: Duration::from_micros(50),
+                    multiplier: 2.0,
+                }),
+                ..QueueConfig::default()
+            },
             ..ServeConfig::default()
         },
     )
@@ -358,11 +361,14 @@ fn a_failed_compaction_never_degrades_queries_and_is_rerequestable() {
         sim(ExecMode::Functional),
         ServeConfig {
             k,
-            retry: Some(RetryPolicy {
-                max_retries: 1,
-                backoff: Duration::from_micros(40),
-                multiplier: 2.0,
-            }),
+            queue: QueueConfig {
+                retry: Some(RetryPolicy {
+                    max_retries: 1,
+                    backoff: Duration::from_micros(40),
+                    multiplier: 2.0,
+                }),
+                ..QueueConfig::default()
+            },
             ..ServeConfig::default()
         },
     )

@@ -3,14 +3,18 @@
 //! cycles, statistics, and results (DESIGN.md §5i). Only wall-clock may
 //! differ.
 //!
-//! The replay guards (timing-only mode, no faults, no trace sink, idle
-//! DMA engines) are unit-tested in `apu-sim`; this test pins the
-//! end-to-end property on the real RAG batch kernel and on a serving
-//! queue, the paths `serve_qps --smoke` accelerates.
+//! The replay guards (timing-only mode, no trace sink, idle DMA
+//! engines) are unit-tested in `apu-sim`; this test pins the end-to-end
+//! property on the real RAG batch kernel and on a fault-injected serving
+//! stream, the paths `serve_qps --smoke` and `serve_failover` accelerate.
+//! An armed fault plan does not bypass the cache: its triggers fire at
+//! the queue's dispatch gate, before any kernel runs.
 
-use apu_sim::{ApuDevice, ExecMode, SimConfig};
+use std::time::Duration;
+
+use apu_sim::{ApuDevice, ExecMode, FaultPlan, QueueConfig, RetryPolicy, SimConfig};
 use hbm_sim::{DramSpec, MemorySystem};
-use rag::{retrieve_batch, CorpusSpec, EmbeddingStore};
+use rag::{retrieve_batch, CorpusSpec, EmbeddingStore, ServeConfig, ShardedRagServer};
 
 fn timing_device(fast_forward: bool) -> ApuDevice {
     ApuDevice::new(
@@ -159,4 +163,55 @@ fn functional_mode_ignores_fast_forward_and_stays_correct() {
     assert!(!on1.hits[0].is_empty());
     assert_eq!(off1.report, on1.report);
     assert_eq!(dev_on.memo_counters().hits, 0);
+}
+
+#[test]
+fn fault_injected_stream_replays_and_stays_byte_identical() {
+    // A timing-only stream with a 20% task-fault rate and bounded
+    // retries: the faults fire at the queue's dispatch gate, so the
+    // replay cache stays in play and changes nothing observable.
+    let store = EmbeddingStore::size_only(
+        CorpusSpec {
+            corpus_bytes: 0,
+            chunks: 50_000,
+        },
+        7,
+    );
+    let serve = |ff: bool| {
+        let cfg = ServeConfig {
+            queue: QueueConfig {
+                retry: Some(RetryPolicy::default()),
+                ..QueueConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let sim = SimConfig::default()
+            .with_exec_mode(ExecMode::TimingOnly)
+            .with_l4_bytes(1 << 20)
+            .with_fast_forward(ff);
+        let mut server = ShardedRagServer::new(&store, 1, sim, cfg).unwrap();
+        server.inject_faults(0, FaultPlan::new(42).fail_task_rate(0.2));
+        for i in 0..96u64 {
+            server
+                .submit(Duration::from_micros(50 * i), store.query(i))
+                .unwrap();
+        }
+        let report = server.drain().unwrap();
+        let dev = server.device_mut(0);
+        (report, dev.memo_counters(), dev.fault_counts())
+    };
+    let (off, off_memo, off_faults) = serve(false);
+    let (on, on_memo, on_faults) = serve(true);
+    assert!(on.failed() > 0 || on.queue.retries > 0, "faults must fire");
+    assert_eq!(off_faults, on_faults);
+    assert_eq!(
+        format!("{:?}", off.completions),
+        format!("{:?}", on.completions)
+    );
+    assert_eq!(format!("{:?}", off.queue), format!("{:?}", on.queue));
+    assert_eq!(off_memo.hits, 0);
+    assert!(
+        on_memo.hits > 0,
+        "an armed fault plan must not bypass the replay cache: {on_memo:?}"
+    );
 }

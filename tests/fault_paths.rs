@@ -53,7 +53,10 @@ fn store(chunks: usize) -> EmbeddingStore {
 /// deterministic fault plan with bounded retries.
 fn serve(st: &EmbeddingStore, queries: &[Vec<i16>], fault_rate: f64) -> ServeReport {
     let cfg = ServeConfig {
-        retry: (fault_rate > 0.0).then(RetryPolicy::default),
+        queue: QueueConfig {
+            retry: (fault_rate > 0.0).then(RetryPolicy::default),
+            ..QueueConfig::default()
+        },
         ..ServeConfig::default()
     };
     let mut server = single(st, cfg);

@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use apu_sim::{ExecMode, FaultPlan, RetryPolicy, SimConfig, TraceRecorder};
+use apu_sim::{ExecMode, FaultPlan, QueueConfig, RetryPolicy, SimConfig, TraceRecorder};
 use rag::{CorpusSpec, EmbeddingStore, ServeConfig, ShardedRagServer};
 
 /// Runs the fixed golden workload — a 32-query open-loop stream with a
@@ -34,7 +34,10 @@ fn record(mode: ExecMode) -> TraceRecorder {
     );
     let cfg = ServeConfig {
         ttl: Some(Duration::from_millis(2)),
-        retry: Some(RetryPolicy::default()),
+        queue: QueueConfig {
+            retry: Some(RetryPolicy::default()),
+            ..QueueConfig::default()
+        },
         ..ServeConfig::default()
     };
     let sim = SimConfig::default()

@@ -53,7 +53,10 @@ fn serve_traced(
     let st = store(4_096);
     let cfg = ServeConfig {
         ttl,
-        retry: (fault_rate > 0.0).then(RetryPolicy::default),
+        queue: QueueConfig {
+            retry: (fault_rate > 0.0).then(RetryPolicy::default),
+            ..QueueConfig::default()
+        },
         ..ServeConfig::default()
     };
     let mut server = single(&st, cfg);
