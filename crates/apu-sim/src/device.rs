@@ -261,6 +261,11 @@ impl ApuDevice {
         })
     }
 
+    /// Every core's cycle counter, in core order.
+    pub(crate) fn core_cycles(&self) -> impl Iterator<Item = Cycles> + '_ {
+        self.cores.iter().map(ApuCore::cycles)
+    }
+
     // ---------------- host memory API (GDL equivalent) ----------------
 
     /// Allocates `bytes` of device DRAM (512-byte aligned, like

@@ -71,6 +71,8 @@
 //! [`QueueStats::expired`], and [`QueueStats::retries`], and its device
 //! time through `busy` / `makespan`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
@@ -676,10 +678,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     /// running a job so a *failed* job's consumed device time can still
     /// be booked on the virtual timeline.
     fn device_snapshot(&self) -> (Vec<Cycles>, VcuStats) {
-        let cores = (0..self.core_free_at.len())
-            .map(|i| self.dev.core(i).expect("core index in range").cycles())
-            .collect();
-        (cores, self.dev.stats_total())
+        (self.dev.core_cycles().collect(), self.dev.stats_total())
     }
 
     /// Synthesizes the report of a failed job from the device time it
@@ -688,8 +687,8 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         let (start_cycles, start_stats) = snap;
         let mut max_delta = Cycles::ZERO;
         let mut cores_used = 0usize;
-        for (i, s) in start_cycles.iter().enumerate() {
-            let delta = self.dev.core(i).expect("core index in range").cycles() - *s;
+        for (now, start) in self.dev.core_cycles().zip(&start_cycles) {
+            let delta = now - *start;
             if delta > Cycles::ZERO {
                 cores_used += 1;
                 max_delta = max_delta.max(delta);
@@ -710,45 +709,66 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         let horizon = self.horizon();
         let mut shed_any = false;
         let mut i = 0;
-        while i < self.pending.len() {
-            let expired = {
-                let p = &self.pending[i];
-                p.deadline.is_some_and(|d| d < p.eligible.max(horizon))
+        while let Some(p) = self.pending.get(i) {
+            let deadline = match p.deadline {
+                Some(d) if d < p.eligible.max(horizon) => d,
+                _ => {
+                    i += 1;
+                    continue;
+                }
             };
-            if !expired {
-                i += 1;
-                continue;
-            }
-            let task = self.pending.remove(i).expect("index is valid");
-            let deadline = task.deadline.expect("task was expired by deadline");
+            let Some(task) = self.pending.remove(i) else {
+                break;
+            };
             self.stats.expired += 1;
             self.stats
                 .per_tenant
                 .entry(task.tenant.get())
                 .or_default()
                 .expired += 1;
-            self.completions.push(Completion {
-                handle: task.handle,
-                priority: task.priority,
-                tenant: task.tenant,
-                submitted_at: task.arrival,
-                started_at: deadline,
-                finished_at: deadline,
-                batch_size: 1,
-                dispatch: None,
-                batch_key: task.work.key,
-                attempts: task.attempt,
-                report: Self::empty_report(),
-                outcome: Err(Error::DeadlineExceeded { deadline }),
-            });
-            let deadline_cycles = self.trace_ts(deadline);
-            self.emit_with(deadline, || TraceEventKind::TaskExpired {
-                handle: task.handle.0,
-                deadline: deadline_cycles,
-            });
+            let attempts = task.attempt;
+            self.retire_undispatched(
+                task,
+                deadline,
+                attempts,
+                Error::DeadlineExceeded { deadline },
+            );
             shed_any = true;
         }
         shed_any
+    }
+
+    /// Retires a task that never reached the device as an error
+    /// completion at `at` with an all-zero report, and marks it on the
+    /// trace: `TaskExpired` for a missed deadline, `TaskFailed`
+    /// otherwise.
+    fn retire_undispatched(&mut self, task: Pending<'t>, at: Duration, attempts: u32, e: Error) {
+        let handle = task.handle.0;
+        let expired = match e {
+            Error::DeadlineExceeded { deadline } => Some(self.trace_ts(deadline)),
+            _ => None,
+        };
+        self.emit_with(at, || match expired {
+            Some(deadline) => TraceEventKind::TaskExpired { handle, deadline },
+            None => TraceEventKind::TaskFailed {
+                handle,
+                error: e.to_string(),
+            },
+        });
+        self.completions.push(Completion {
+            handle: task.handle,
+            priority: task.priority,
+            tenant: task.tenant,
+            submitted_at: task.arrival,
+            started_at: at,
+            finished_at: at,
+            batch_size: 1,
+            dispatch: None,
+            batch_key: task.work.key,
+            attempts,
+            report: Self::empty_report(),
+            outcome: Err(e),
+        });
     }
 
     /// Cluster-level admission control: while the backlog exceeds a
@@ -803,8 +823,9 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             } else {
                 (None, 0)
             };
-            let Some(idx) = victim else { break };
-            let task = self.pending.remove(idx).expect("victim index is valid");
+            let Some(task) = victim.and_then(|i| self.pending.remove(i)) else {
+                break;
+            };
             let at = task.eligible.max(horizon);
             self.stats.shed_admission += 1;
             self.stats
@@ -812,26 +833,9 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 .entry(task.tenant.get())
                 .or_default()
                 .shed += 1;
+            let attempts = task.attempt;
             let e = Error::AdmissionShed { backlog, watermark };
-            let error_text = e.to_string();
-            self.completions.push(Completion {
-                handle: task.handle,
-                priority: task.priority,
-                tenant: task.tenant,
-                submitted_at: task.arrival,
-                started_at: at,
-                finished_at: at,
-                batch_size: 1,
-                dispatch: None,
-                batch_key: task.work.key,
-                attempts: task.attempt,
-                report: Self::empty_report(),
-                outcome: Err(e),
-            });
-            self.emit_with(at, || TraceEventKind::TaskFailed {
-                handle: task.handle.0,
-                error: error_text,
-            });
+            self.retire_undispatched(task, at, attempts, e);
             shed_any = true;
         }
         shed_any
@@ -995,25 +999,8 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             return false;
         }
         self.book_failure(task.tenant);
-        let error_text = e.to_string();
-        self.completions.push(Completion {
-            handle: task.handle,
-            priority: task.priority,
-            tenant: task.tenant,
-            submitted_at: task.arrival,
-            started_at: at,
-            finished_at: at,
-            batch_size: 1,
-            dispatch: None,
-            batch_key: task.work.key,
-            attempts: task.attempt + 1,
-            report: Self::empty_report(),
-            outcome: Err(e),
-        });
-        self.emit_with(at, || TraceEventKind::TaskFailed {
-            handle: task.handle.0,
-            error: error_text,
-        });
+        let attempts = task.attempt + 1;
+        self.retire_undispatched(task, at, attempts, e);
         true
     }
 
@@ -1065,23 +1052,22 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             None => vec![idx],
         };
 
-        // Remove back-to-front so earlier indices stay valid, then
-        // restore the chosen membership order (which may differ from
-        // index order under EDF gathering).
-        let mut removal = member_idx.clone();
-        removal.sort_unstable();
-        let mut extracted: Vec<(usize, Pending<'t>)> = Vec::with_capacity(removal.len());
-        for &i in removal.iter().rev() {
-            extracted.push((i, self.pending.remove(i).expect("member index is valid")));
-        }
-        let mut members: Vec<Pending<'t>> = Vec::with_capacity(member_idx.len());
-        for &i in &member_idx {
-            let pos = extracted
-                .iter()
-                .position(|(j, _)| *j == i)
-                .expect("every chosen index was extracted");
-            members.push(extracted.remove(pos).1);
-        }
+        // Take the members out back-to-front, so earlier indices stay
+        // valid, each tagged with its rank in the chosen order (which may
+        // differ from index order under EDF gathering), then restore
+        // that order.
+        let mut by_index: Vec<(usize, usize)> = member_idx
+            .iter()
+            .enumerate()
+            .map(|(rank, &i)| (i, rank))
+            .collect();
+        by_index.sort_unstable();
+        let mut members: Vec<(usize, Pending<'t>)> = by_index
+            .iter()
+            .rev()
+            .filter_map(|&(i, rank)| Some((rank, self.pending.remove(i)?)))
+            .collect();
+        members.sort_unstable_by_key(|&(rank, _)| rank);
 
         // Fault-gate each member individually: a poisoned member fails
         // (or retries) alone while its healthy siblings still ride
@@ -1092,7 +1078,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         let mut runner: Option<BatchRunner<'t>> = None;
         let mut meta: Vec<MemberMeta> = Vec::with_capacity(members.len());
         let mut latest_eligible = Duration::ZERO;
-        for m in members {
+        for (_, m) in members {
             if let Some(e) = self.dev.fault_check_task(key) {
                 retired_any |= self.contain_predispatch_failure(m, retry_slot, e, horizon);
                 continue;
@@ -1249,6 +1235,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;

@@ -27,8 +27,8 @@
 //! numbers are bit-identical with and without a sink
 //! (`crates/apu-sim/tests/timing_golden.rs` pins this).
 //!
-//! A companion [`prometheus_text`] exporter renders [`QueueStats`] /
-//! [`VcuStats`] counters and the per-stage latency breakdown
+//! A companion [`prometheus_text`] exporter renders [`QueueStats`]
+//! counters and the per-stage latency breakdown
 //! ([`crate::stats::StageBreakdown`]) in the Prometheus text exposition
 //! format for scrape-style metrics collection.
 
@@ -39,7 +39,7 @@ use std::rc::Rc;
 
 use crate::clock::{Cycles, Frequency};
 use crate::queue::Priority;
-use crate::stats::{QueueStats, VcuStats};
+use crate::stats::QueueStats;
 
 /// One structured trace event: a virtual-clock timestamp plus a typed
 /// payload.
@@ -679,14 +679,14 @@ pub fn chrome_trace_json_grouped(groups: &[(&str, &[TraceEvent])], clock: Freque
     out
 }
 
-/// Renders queue and (optionally) device counters in the Prometheus
-/// text exposition format, including the per-stage latency totals
+/// Renders queue counters in the Prometheus text exposition format,
+/// including the per-stage latency totals
 /// (`queue_wait` / `dispatch` / `dma` / `device`) and latency quantiles
 /// from the bounded reservoir.
 ///
 /// Tenant series are labelled with the numeric [`crate::TenantId`], so
 /// no label value needs escaping.
-pub fn prometheus_text(queue: &QueueStats, vcu: Option<&VcuStats>) -> String {
+pub fn prometheus_text(queue: &QueueStats) -> String {
     let mut out = String::new();
     let counter = |name: &str, help: &str, value: String, out: &mut String| {
         let _ = writeln!(out, "# HELP {name} {help}");
@@ -840,46 +840,6 @@ pub fn prometheus_text(queue: &QueueStats, vcu: Option<&VcuStats>) -> String {
             );
         }
     }
-    if let Some(v) = vcu {
-        counter(
-            "apu_vcu_commands_total",
-            "Vector commands issued",
-            v.commands.to_string(),
-            &mut out,
-        );
-        counter(
-            "apu_vcu_micro_ops_total",
-            "Micro-operations executed",
-            v.micro_ops.to_string(),
-            &mut out,
-        );
-        counter(
-            "apu_vcu_l4_bytes_total",
-            "Bytes moved over the device DRAM interface",
-            v.l4_bytes.to_string(),
-            &mut out,
-        );
-        counter(
-            "apu_vcu_dma_transactions_total",
-            "DMA transactions initiated",
-            v.dma_transactions.to_string(),
-            &mut out,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP apu_vcu_cycles_total Busy cycles by attribution class"
-        );
-        let _ = writeln!(out, "# TYPE apu_vcu_cycles_total counter");
-        for (class, cycles) in [
-            ("compute", v.compute_cycles),
-            ("dma", v.dma_cycles),
-            ("pio", v.pio_cycles),
-            ("lookup", v.lookup_cycles),
-            ("issue", v.issue_cycles),
-        ] {
-            let _ = writeln!(out, "apu_vcu_cycles_total{{class=\"{class}\"}} {cycles}");
-        }
-    }
     out
 }
 
@@ -1023,17 +983,16 @@ mod tests {
         tenant.completed = 4;
         tenant.shed = 1;
         tenant.total_latency = std::time::Duration::from_millis(250);
-        let text = prometheus_text(&stats, Some(&VcuStats::default()));
+        let text = prometheus_text(&stats);
         assert!(text.contains("apu_queue_submitted_total 5"));
         assert!(text.contains("apu_queue_completed_total 4"));
         assert!(text.contains("apu_queue_stage_seconds_total{stage=\"dma\"}"));
-        assert!(text.contains("apu_vcu_cycles_total{class=\"compute\"} 0"));
         assert!(text.contains("apu_tenant_tasks_total{tenant=\"7\",state=\"completed\"} 4"));
         assert!(text.contains("apu_tenant_tasks_total{tenant=\"7\",state=\"shed\"} 1"));
         assert!(text.contains("apu_tenant_stage_seconds_total{tenant=\"7\",stage=\"queue_wait\"}"));
         assert!(text.contains("apu_tenant_latency_seconds_total{tenant=\"7\"} 0.250000000"));
         // Queues that never saw tenant-tagged work emit no tenant series.
-        let untagged = prometheus_text(&QueueStats::default(), None);
+        let untagged = prometheus_text(&QueueStats::default());
         assert!(!untagged.contains("apu_tenant_"));
         // Every non-comment line is "name[{labels}] value".
         for line in text.lines().filter(|l| !l.starts_with('#')) {

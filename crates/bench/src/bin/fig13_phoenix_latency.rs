@@ -1,7 +1,9 @@
 //! Figure 13: Phoenix latency across platforms, normalized to the
 //! single-threaded CPU baseline — CPU 1T / CPU MT (measured on this
 //! host) vs the simulated APU at baseline, each optimization standalone,
-//! and all three.
+//! and all three. `--scale` is nominal: `run_app` clamps each app's
+//! input to a floor (MatMul's is fixed), so the table prints the input
+//! each app actually ran.
 
 use cis_bench::phoenix_suite::run_app;
 use cis_bench::table::{print_table, section};
@@ -10,7 +12,7 @@ use phoenix::{App, OptConfig};
 fn main() {
     let cfg = cis_bench::parse_args();
     section(&format!(
-        "Figure 13: Phoenix latency normalized to 1-thread CPU (scale {:.4})",
+        "Figure 13: Phoenix latency normalized to 1-thread CPU (nominal scale {:.4})",
         cfg.scale
     ));
     let variants = OptConfig::fig13_variants();
@@ -33,6 +35,7 @@ fn main() {
         };
         let mut row = vec![
             app.name().to_string(),
+            run.input_desc.clone(),
             format!("{:.1}ms", run.cpu_1t_ms),
             norm(run.cpu_mt_ms),
         ];
@@ -50,6 +53,7 @@ fn main() {
     print_table(
         &[
             "Application",
+            "Input (this run)",
             "CPU 1T",
             "CPU MT",
             "APU base",

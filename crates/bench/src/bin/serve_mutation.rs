@@ -101,7 +101,7 @@ fn main() {
             &mut probe_dev,
             &mut probe_hbm,
             &snap.shards[0],
-            None,
+            rag::IndexMode::Flat,
             &batch,
             5,
         )

@@ -359,7 +359,7 @@ fn run_arm(
     outcomes.sort_by_key(|&(id, ..)| id);
     ArmRun {
         outcomes,
-        prometheus: prometheus_text(&report.queue, None),
+        prometheus: prometheus_text(&report.queue),
     }
 }
 

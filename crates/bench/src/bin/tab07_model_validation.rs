@@ -1,6 +1,8 @@
 //! Table 7: analytical-framework validation — the all-opts kernel's
 //! simulated ("measured") latency vs the analytical twin's prediction,
-//! per Phoenix application.
+//! per Phoenix application. `--scale` is nominal: `run_app` clamps each
+//! app's input to a floor (MatMul's is fixed), so the table prints the
+//! input each app actually ran.
 
 use cis_bench::phoenix_suite::run_app;
 use cis_bench::table::{print_table, section};
@@ -9,7 +11,7 @@ use phoenix::{App, OptConfig};
 fn main() {
     let cfg = cis_bench::parse_args();
     section(&format!(
-        "Table 7: measured (simulated) vs analytical-framework prediction (scale {:.4})",
+        "Table 7: measured (simulated) vs analytical-framework prediction (nominal scale {:.4})",
         cfg.scale
     ));
     let mut rows = Vec::new();
@@ -21,6 +23,7 @@ fn main() {
         errors.push(err.abs());
         rows.push(vec![
             app.name().to_string(),
+            run.input_desc.clone(),
             format!("{measured:.2}"),
             format!("{:.2}", run.predicted_ms),
             format!("{err:+.1}%"),
@@ -30,6 +33,7 @@ fn main() {
     print_table(
         &[
             "Application",
+            "Input (this run)",
             "Meas. latency (ms)",
             "Predicted (ms)",
             "Error",

@@ -34,10 +34,13 @@
 //!   `FaultPlan::fail_batch_key_times`) leaves the corpus exactly as it
 //!   was.
 //!
-//! IVF composes: the base segment (the bulk of the data) is searched
-//! through its per-epoch [`IvfIndex`] while deltas are scanned flat
-//! until the next compaction folds them into a retrained index —
-//! the classic main-index-plus-memtable layout.
+//! IVF composes: the base segment (the bulk of the data) carries its own
+//! [`IvfIndex`], built on the segment's first IVF scan
+//! ([`Segment::ivf_index`]) and dropped with it, while deltas are scanned
+//! flat until the next compaction folds them into a fresh base with a
+//! fresh index — the classic main-index-plus-memtable layout. Every
+//! snapshot and replica that scans a base shares that base's one index,
+//! so this module alone decides which index serves which base.
 //!
 //! This is the serving stack's only corpus representation: every
 //! [`crate::ShardedRagServer`] holds one `MutableCorpus`, and a server
@@ -48,7 +51,7 @@
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use apu_sim::core::CycleClass;
@@ -72,6 +75,9 @@ pub struct Segment {
     pub store: EmbeddingStore,
     /// `ids.get(local)` = document id of the segment's `local`-th vector.
     pub ids: SegmentIds,
+    /// The segment's IVF index and the list count it was requested
+    /// with, built by the first [`Segment::ivf_index`] call.
+    pub(crate) index: OnceLock<(usize, IvfIndex)>,
 }
 
 /// The document ids of a segment's vectors in `local` order, strictly
@@ -132,6 +138,35 @@ impl SegmentIds {
 }
 
 impl Segment {
+    fn new(store: EmbeddingStore, ids: SegmentIds) -> Self {
+        Segment {
+            store,
+            ids,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The segment's IVF index over `nlist` lists: built on the first
+    /// call, then shared by every snapshot and replica that scans the
+    /// segment and dropped with it. A compacted base is a new segment,
+    /// so it never serves a stale index.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidArg`] when the index was built for another
+    /// `nlist`.
+    pub fn ivf_index(&self, nlist: usize) -> Result<&IvfIndex> {
+        let (built, index) = self
+            .index
+            .get_or_init(|| (nlist, IvfIndex::build(&self.store, nlist)));
+        if *built != nlist {
+            return Err(Error::InvalidArg(format!(
+                "segment indexed with nlist {built}, scanned with nlist {nlist}"
+            )));
+        }
+        Ok(index)
+    }
+
     /// Documents in the segment.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -288,10 +323,7 @@ impl CompactionPlan {
                 self.seed(),
             )
         };
-        Segment {
-            store: store.with_epoch(self.merged_epoch),
-            ids: SegmentIds::List(ids),
-        }
+        Segment::new(store.with_epoch(self.merged_epoch), SegmentIds::List(ids))
     }
 
     fn seed(&self) -> u64 {
@@ -336,10 +368,10 @@ impl ShardState {
                 seed,
             )
         };
-        self.deltas.push(Arc::new(Segment {
-            store: store.with_epoch(epoch),
-            ids: SegmentIds::List(ids),
-        }));
+        self.deltas.push(Arc::new(Segment::new(
+            store.with_epoch(epoch),
+            SegmentIds::List(ids),
+        )));
     }
 
     /// Whether one of the shard's segments, sealed or open, holds `doc`.
@@ -404,10 +436,10 @@ impl MutableCorpus {
                 let epoch = next_epoch;
                 next_epoch += 1;
                 ShardState {
-                    base: Arc::new(Segment {
-                        store: part.store.clone().with_epoch(epoch),
-                        ids: SegmentIds::Run(part.range()),
-                    }),
+                    base: Arc::new(Segment::new(
+                        part.store.clone().with_epoch(epoch),
+                        SegmentIds::Run(part.range()),
+                    )),
                     deltas: Vec::new(),
                     open_ids: Vec::new(),
                     open_data: Vec::new(),
@@ -660,14 +692,6 @@ impl MutableCorpus {
         std::mem::take(&mut self.plans)
     }
 
-    /// Current base-segment epoch of each shard, in shard order. Unlike
-    /// [`MutableCorpus::snapshot`] this has no side effects (nothing is
-    /// sealed); the serving layer uses it to prune per-epoch index
-    /// caches after compaction.
-    pub fn base_epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.base.store.epoch()).collect()
-    }
-
     /// Installs a completed compaction: the merged segment replaces
     /// exactly the plan's captured segments, and the plan's captured
     /// tombstones are retired. Deltas sealed and tombstones added after
@@ -778,8 +802,8 @@ fn zero_report() -> TaskReport {
 }
 
 /// Scans one shard of a snapshot for a batch of queries: every segment
-/// of `shard` goes through the batch kernel — the base through `ivf`
-/// when given (deltas always flat) — requesting `k +
+/// of `shard` goes through the batch kernel — the base through its own
+/// IVF index under [`IndexMode::Ivf`] (deltas always flat) — requesting `k +
 /// tombstones_in_segment` candidates per segment, tombstoned hits are
 /// dropped, and the parts merge to the per-query top-`k` over the
 /// snapshot's live documents. Hits carry document ids. The report's
@@ -790,12 +814,13 @@ fn zero_report() -> TaskReport {
 ///
 /// # Errors
 ///
-/// Propagates kernel failures.
+/// Propagates kernel failures, and [`Segment::ivf_index`]'s error for a
+/// base indexed with another `nlist`.
 pub fn snapshot_scan(
     dev: &mut ApuDevice,
     hbm: &mut MemorySystem,
     shard: &ShardSnapshot,
-    ivf: Option<(&IvfIndex, usize)>,
+    mode: IndexMode,
     queries: &[Vec<i16>],
     k: usize,
 ) -> Result<(TaskReport, Vec<Vec<Hit>>, IvfStats)> {
@@ -828,17 +853,17 @@ pub fn snapshot_scan(
                 .collect();
             drop_tombstoned(mapped, tomb)
         };
-        if si == 0 {
-            if let Some((index, nprobe)) = ivf {
-                let search = index.search_batch(dev, hbm, queries, k_eff, nprobe)?;
-                report = report.chain(&search.report);
-                stream_ms += search.breakdown.load_embedding_ms;
-                ivf_stats.absorb(&search.stats);
-                for (q, hs) in search.hits.into_iter().enumerate() {
-                    parts[q].push(remap(hs));
-                }
-                continue;
+        if let (0, IndexMode::Ivf { nlist, nprobe }) = (si, mode) {
+            let search = seg
+                .ivf_index(nlist)?
+                .search_batch(dev, hbm, queries, k_eff, nprobe)?;
+            report = report.chain(&search.report);
+            stream_ms += search.breakdown.load_embedding_ms;
+            ivf_stats.absorb(&search.stats);
+            for (q, hs) in search.hits.into_iter().enumerate() {
+                parts[q].push(remap(hs));
             }
+            continue;
         }
         let scan = retrieve_batch(dev, hbm, &seg.store, queries, k_eff)?;
         report = report.chain(&scan.report);
@@ -1041,9 +1066,15 @@ mod tests {
         for q in &queries {
             let mut parts = Vec::new();
             for sh in &snap.shards {
-                let (_, mut hits, _) =
-                    snapshot_scan(&mut dev, &mut hbm, sh, None, std::slice::from_ref(q), 7)
-                        .unwrap();
+                let (_, mut hits, _) = snapshot_scan(
+                    &mut dev,
+                    &mut hbm,
+                    sh,
+                    IndexMode::Flat,
+                    std::slice::from_ref(q),
+                    7,
+                )
+                .unwrap();
                 parts.push(hits.remove(0));
             }
             let device_hits = merge_top_k(parts, 7);
@@ -1065,20 +1096,36 @@ mod tests {
         c.delete(501);
         let snap = c.snapshot();
         let sh = &snap.shards[0];
-        let index = IvfIndex::build(&sh.segments[0].store, 8);
         let (mut dev, mut hbm) = device();
         let q = base.query(0);
+        let full_probe = IndexMode::Ivf {
+            nlist: 8,
+            nprobe: 8,
+        };
         let (_, hits, stats) = snapshot_scan(
             &mut dev,
             &mut hbm,
             sh,
-            Some((&index, index.nlist())),
+            full_probe,
             std::slice::from_ref(&q),
             9,
         )
         .unwrap();
         assert_eq!(hits[0], flat_scan(&snap, &q, 9));
         assert_eq!(stats.searches, 1);
+        // The scan built the base's index once; deltas carry none, and a
+        // scan with another list count is refused rather than served by
+        // the wrong index.
+        assert_eq!(sh.segments[0].ivf_index(8).unwrap().nlist(), 8);
+        assert!(sh.segments[1..].iter().all(|d| d.index.get().is_none()));
+        let other = IndexMode::Ivf {
+            nlist: 4,
+            nprobe: 4,
+        };
+        assert!(matches!(
+            snapshot_scan(&mut dev, &mut hbm, sh, other, std::slice::from_ref(&q), 9),
+            Err(Error::InvalidArg(_))
+        ));
     }
 
     #[test]
@@ -1090,8 +1137,15 @@ mod tests {
         let snap = c.snapshot();
         let (mut dev, mut hbm) = device();
         let queries = [store(3, 7).query(0)];
-        let (_, hits, _) =
-            snapshot_scan(&mut dev, &mut hbm, &snap.shards[0], None, &queries, 5).unwrap();
+        let (_, hits, _) = snapshot_scan(
+            &mut dev,
+            &mut hbm,
+            &snap.shards[0],
+            IndexMode::Flat,
+            &queries,
+            5,
+        )
+        .unwrap();
         assert!(hits[0].is_empty(), "every document is tombstoned");
         assert!(flat_scan(&snap, &store(3, 7).query(0), 5).is_empty());
     }

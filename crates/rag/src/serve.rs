@@ -41,14 +41,22 @@
 //! queue wait and stage sums stay exact. A single replica fault
 //! therefore yields the *exact*, non-degraded top-k; a query degrades
 //! only when a **whole** replica set is down.
+//!
+//! A drain's state is addressed by index, not by key: every query reads
+//! every shard, so its reads are the slots `position × shards + shard`
+//! (position in arrival order), and each device task's origin — a read
+//! copy or a compaction plan — sits at its [`TaskHandle::id`], which a
+//! drain's fresh queues number from 0. The server keeps no IVF index:
+//! each base segment carries its own ([`crate::mutable::Segment::ivf_index`]).
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use apu_sim::queue::percentile;
+use apu_sim::queue::{percentile, BatchRunner};
 use apu_sim::trace::prometheus_text;
 use apu_sim::{
     chrome_trace_json_grouped, ApuDevice, Completion, DeviceCluster, Error, FaultPlan, Priority,
@@ -59,7 +67,7 @@ use hbm_sim::{DramSpec, MemorySystem};
 
 use crate::batch::{run_boxed, MAX_BATCH};
 use crate::corpus::{CorpusShard, EmbeddingStore};
-use crate::ivf::{IndexMode, IvfIndex, IvfStats};
+use crate::ivf::{IndexMode, IvfStats};
 use crate::mutable::{
     run_compaction_task, snapshot_batch_key, snapshot_scan, CompactionPlan, CompactionTicket,
     CorpusStats, MutableCorpus, Segment, Snapshot,
@@ -111,9 +119,10 @@ pub struct ServeConfig {
     /// unreplicated server.
     pub replicas: usize,
     /// How every retrieval executes: [`IndexMode::Flat`] (the paper's
-    /// exact scan) or [`IndexMode::Ivf`] cluster-pruned search. A
-    /// sharded server builds one IVF index **per shard base segment**
-    /// and keeps the exact global top-k merge unchanged.
+    /// exact scan) or [`IndexMode::Ivf`] cluster-pruned search. Under
+    /// IVF each shard's base segment is searched through its own index,
+    /// built on its first scan and shared by the shard's replicas, and
+    /// the exact global top-k merge is unchanged.
     pub index: IndexMode,
     /// Priority background compaction tasks are submitted at on a
     /// mutable server (see [`ShardedRagServer::new_mutable`]). The
@@ -410,9 +419,8 @@ impl ServeReport {
     /// exposition format, ready to serve from a `/metrics` endpoint or
     /// dump next to a bench log.
     pub fn prometheus_text(&self) -> String {
-        let mut out = prometheus_text(&self.queue, None);
-        let r = &self.replica;
-        let series: [(&str, &str, &str, u64); 6] = [
+        let (r, v, c) = (&self.replica, &self.ivf, &self.corpus);
+        let series: [(&str, &str, &str, u64); 19] = [
             (
                 "apu_queries_rejected_total",
                 "counter",
@@ -449,47 +457,36 @@ impl ServeReport {
                 "Queries whose final answer used a failover copy.",
                 r.failover_served,
             ),
-        ];
-        for (name, kind, help, value) in series {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-            ));
-        }
-        let v = &self.ivf;
-        let ivf_series: [(&str, &str, u64); 5] = [
             (
                 "apu_ivf_searches_total",
+                "counter",
                 "Batched IVF dispatches executed.",
                 v.searches,
             ),
             (
                 "apu_ivf_queries_total",
+                "counter",
                 "Queries served through an IVF index.",
                 v.queries,
             ),
             (
                 "apu_ivf_probes_total",
+                "counter",
                 "Probed clusters summed over IVF queries.",
                 v.probes,
             ),
             (
                 "apu_ivf_clusters_scanned_total",
+                "counter",
                 "Distinct clusters scanned, summed over IVF dispatches.",
                 v.clusters_scanned,
             ),
             (
                 "apu_ivf_candidates_total",
+                "counter",
                 "Candidate chunks exactly rescored by IVF dispatches.",
                 v.candidates,
             ),
-        ];
-        for (name, help, value) in ivf_series {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        }
-        let c = &self.corpus;
-        let corpus_series: [(&str, &str, &str, u64); 8] = [
             (
                 "apu_corpus_live_docs",
                 "gauge",
@@ -539,7 +536,8 @@ impl ServeReport {
                 c.compaction_failures,
             ),
         ];
-        for (name, kind, help, value) in corpus_series {
+        let mut out = prometheus_text(&self.queue);
+        for (name, kind, help, value) in series {
             out.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
             ));
@@ -635,12 +633,6 @@ pub struct ShardedRagServer {
     /// Whether the corpus accepts writes
     /// ([`ShardedRagServer::new_mutable`]).
     mutable: bool,
-    /// IVF indexes over **base** segments (shared across a shard's
-    /// replicas), built lazily and keyed by `(base epoch, nlist)`.
-    /// Epochs are unique per segment generation, so a compacted base
-    /// never reuses a stale index; stale entries are pruned once no live
-    /// snapshot can reference them.
-    ivf: HashMap<(u64, usize), IvfIndex>,
 }
 
 impl ShardedRagServer {
@@ -685,7 +677,6 @@ impl ShardedRagServer {
             traces: None,
             corpus,
             mutable: false,
-            ivf: HashMap::new(),
         })
     }
 
@@ -1022,71 +1013,7 @@ impl ShardedRagServer {
         let hedge = self.cfg.hedge;
         let default_ttl = self.cfg.ttl;
         let mode = self.cfg.index;
-
-        // Build (once, cached across drains) every per-shard IVF index
-        // this drain needs; a shard's replicas share the index, and the
-        // exact global merge is unchanged. A query indexes the base
-        // segments of its own snapshot; the (unique) base epoch keys the
-        // cache, so a compacted base can never serve a stale index.
-        // Deltas stay flat-scanned — they are small and short-lived by
-        // design.
-        if let IndexMode::Ivf { nlist, .. } = mode {
-            for sh in queries.iter().flat_map(|p| &p.snapshot.shards) {
-                let base = &sh.segments[0].store;
-                if base.spec().chunks == 0 {
-                    continue;
-                }
-                self.ivf
-                    .entry((base.epoch(), nlist))
-                    .or_insert_with(|| IvfIndex::build(base, nlist));
-            }
-        }
-        // Drop cached indexes whose base epoch no live query references
-        // and the corpus no longer holds — compaction retired them.
-        let live: HashSet<u64> = self
-            .corpus
-            .base_epochs()
-            .into_iter()
-            .chain(queries.iter().flat_map(|p| {
-                p.snapshot
-                    .shards
-                    .iter()
-                    .map(|sh| sh.segments[0].store.epoch())
-            }))
-            .collect();
-        self.ivf.retain(|(epoch, _), _| live.contains(epoch));
-        let ivf = &self.ivf;
         let ivf_cell = RefCell::new(IvfStats::default());
-
-        // Per-query submission parameters, in (arrival, ticket) order —
-        // kept for the whole drain so failover rounds can rebuild a
-        // query's shard task from its original parameters.
-        struct QInfo {
-            ticket: u64,
-            arrival: Duration,
-            tenant: TenantId,
-            priority: Priority,
-            ttl: Option<Duration>,
-            query: Vec<i16>,
-            snapshot: Arc<Snapshot>,
-        }
-        let infos: Vec<QInfo> = queries
-            .into_iter()
-            .map(|p| QInfo {
-                ticket: p.ticket.0,
-                arrival: p.spec.arrival,
-                tenant: p.spec.tenant,
-                priority: p.spec.priority,
-                ttl: p.spec.ttl.or(default_ttl),
-                query: p.spec.query,
-                snapshot: p.snapshot,
-            })
-            .collect();
-        let index_of: HashMap<u64, usize> = infos
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (q.ticket, i))
-            .collect();
 
         // Borrow order matters: the per-shard closures capture these
         // cells, so they must outlive the cluster that owns the closures.
@@ -1094,212 +1021,208 @@ impl ShardedRagServer {
             self.hbms.iter_mut().map(RefCell::new).collect();
         let mut cluster =
             DeviceCluster::new(self.devices.iter_mut().collect(), queue_cfg, self.replicas)?;
+        let route = |cluster: &DeviceCluster<'_, '_>, s: usize, tried: &[usize]| {
+            cluster
+                .route_replica(s, tried)
+                .ok_or_else(|| Error::InvalidArg(format!("shard {s} has no replica")))
+        };
 
         // Builds the shard-`s` copy of a query for `device` (some
         // replica of `s`). Every copy — primary, hedge, failover —
         // carries the primary's deadline: redundancy races the SLO, it
         // never extends it.
-        let make_task = |info: &QInfo, s: usize, device: usize, at: Duration, prio: Priority| {
-            let hbm = &hbm_cells[device];
-            // Scan the pinned shard view — base + sealed deltas minus
-            // tombstones — through the batched kernel. The base may run
-            // through its per-epoch IVF index; deltas always scan flat.
-            let index = match mode {
-                IndexMode::Flat => None,
-                IndexMode::Ivf { nlist, nprobe } => {
-                    let base = &info.snapshot.shards[s].segments[0].store;
-                    (base.spec().chunks > 0).then(|| (&ivf[&(base.epoch(), nlist)], nprobe))
-                }
-            };
-            let snap = Arc::clone(&info.snapshot);
-            let stats = &ivf_cell;
-            let run: apu_sim::queue::BatchRunner<'_> =
-                Box::new(move |dev: &mut ApuDevice, payloads| {
+        let make_task =
+            |p: &PendingQuery, s: usize, device: usize, at: Duration, prio: Priority| {
+                let hbm = &hbm_cells[device];
+                // Scan the pinned shard view — base + sealed deltas minus
+                // tombstones — through the batched kernel. Under IVF the
+                // base runs through its own index; deltas always scan flat.
+                let snap = Arc::clone(&p.snapshot);
+                let stats = &ivf_cell;
+                let run: BatchRunner<'_> = Box::new(move |dev: &mut ApuDevice, payloads| {
                     run_boxed(payloads, |queries| {
                         let mut hbm = hbm.borrow_mut();
                         let (report, hits, ds) =
-                            snapshot_scan(dev, &mut hbm, &snap.shards[s], index, queries, k)?;
+                            snapshot_scan(dev, &mut hbm, &snap.shards[s], mode, queries, k)?;
                         stats.borrow_mut().absorb(&ds);
                         Ok((report, hits))
                     })
                 });
-            // Queries batch by (shard, snapshot id, k, mode): same-snapshot
-            // queries coalesce, cross-snapshot never do.
-            let key = snapshot_batch_key(s, info.snapshot.id, k, mode);
-            let mut task = TaskSpec::batch(key, Box::new(info.query.clone()), run)
-                .priority(prio)
-                .at(at)
-                .tenant(info.tenant);
-            if let Some(ttl) = info.ttl {
-                task = task.deadline_at(info.arrival + ttl);
-            }
-            task
-        };
+                // Queries batch by (shard, snapshot id, k, mode): same-snapshot
+                // queries coalesce, cross-snapshot never do.
+                let key = snapshot_batch_key(s, p.snapshot.id, k, mode);
+                let mut task = TaskSpec::batch(key, Box::new(p.spec.query.clone()), run)
+                    .priority(prio)
+                    .at(at)
+                    .tenant(p.spec.tenant);
+                if let Some(ttl) = p.spec.ttl.or(default_ttl) {
+                    task = task.deadline_at(p.spec.arrival + ttl);
+                }
+                task
+            };
 
-        // One slot per (query ticket, logical shard): the replicas tried
-        // so far and every retired copy (device, is_hedge, round).
-        struct SlotState {
-            tried: Vec<usize>,
-            copies: Vec<(usize, bool, u32, Completion)>,
-        }
-        let mut slots: HashMap<(u64, usize), SlotState> = HashMap::new();
-        // Value: (ticket, shard, is_hedge_copy, failover_round).
-        let mut tickets: HashMap<(usize, TaskHandle), (u64, usize, bool, u32)> = HashMap::new();
+        // Index-addressed drain state. Query position `qi` (in arrival
+        // order) reads shard `s` through slot `qi * n_shards + s`, and
+        // every device task's origin sits at its handle id on its
+        // device: each drain's fresh queues number tasks from 0.
+        let mut slots: Vec<Slot> = std::iter::repeat_with(Slot::default)
+            .take(queries.len() * n_shards)
+            .collect();
+        let mut origins: Vec<Vec<Origin>> = vec![Vec::new(); n_devices];
 
         // Background compaction rides the same queues as ordinary
         // (default: low-priority) device work, one task per captured
-        // plan, pinned to a replica of its shard. Each plan's unique
-        // batch key means it never coalesces with queries — and gives
-        // fault injection a precise target. Plans are submitted
-        // interleaved with the queries in arrival order, so a plan's
-        // FIFO position among equal-priority work reflects `plan.at`:
-        // an interactive-priority merge competes head-to-head with the
+        // plan. Plans are routed before any read is queued, so each
+        // lands on its shard's first healthy replica, and each plan's
+        // unique batch key means it never coalesces with queries — and
+        // gives fault injection a precise target.
+        let plan_devices = plans
+            .iter()
+            .map(|plan| route(&cluster, plan.shard, &[]))
+            .collect::<Result<Vec<usize>>>()?;
+        // Plans and queries are submitted in one arrival order: by time,
+        // a plan before a query arriving at the same instant, then by
+        // plan sequence or ticket. A plan's FIFO position among
+        // equal-priority work thus reflects `plan.at`: an
+        // interactive-priority merge competes head-to-head with the
         // queries behind it, while a low-priority merge yields to every
         // arrived query. The queue's retry policy applies unchanged.
-        let mut compaction_tickets: HashMap<(usize, TaskHandle), usize> = HashMap::new();
-        let mut comp_results: Vec<(usize, Completion)> = Vec::new();
-        let mut plan_order: Vec<usize> = (0..plans.len()).collect();
-        plan_order.sort_by_key(|&pi| (plans[pi].at, plans[pi].seq));
-        let comp_specs: Vec<(usize, Duration, usize, TaskSpec<'_>)> = plan_order
-            .into_iter()
-            .map(|pi| {
-                let plan = &plans[pi];
-                let device = cluster
-                    .route_replica(plan.shard, &[])
-                    .expect("every shard has at least one replica");
-                let hbm = &hbm_cells[device];
-                let task_plan = Arc::clone(plan);
-                let run: apu_sim::queue::BatchRunner<'_> =
-                    Box::new(move |dev: &mut ApuDevice, _payloads| {
-                        let mut hbm = hbm.borrow_mut();
-                        run_compaction_task(dev, &mut hbm, &task_plan)
-                    });
-                let spec = TaskSpec::batch(plan.key, Box::new(()), run)
-                    .priority(compaction_priority)
-                    .at(plan.at);
-                (pi, plan.at, device, spec)
-            })
+        let mut arrivals: Vec<(Duration, bool, u64, usize)> = plans
+            .iter()
+            .enumerate()
+            .map(|(pi, plan)| (plan.at, false, plan.seq, pi))
+            .chain(
+                queries
+                    .iter()
+                    .enumerate()
+                    .map(|(qi, p)| (p.spec.arrival, true, p.ticket.0, qi)),
+            )
             .collect();
-        let mut comp_queue = comp_specs.into_iter().peekable();
-
-        for info in &infos {
-            while comp_queue
-                .peek()
-                .is_some_and(|(_, at, _, _)| *at <= info.arrival)
-            {
-                let (pi, _, device, spec) = comp_queue.next().expect("peeked non-empty");
+        arrivals.sort_unstable();
+        for (_, is_query, _, i) in arrivals {
+            if !is_query {
+                let (plan, device) = (Arc::clone(&plans[i]), plan_devices[i]);
+                let (key, at) = (plan.key, plan.at);
+                let hbm = &hbm_cells[device];
+                let run: BatchRunner<'_> = Box::new(move |dev: &mut ApuDevice, _payloads| {
+                    run_compaction_task(dev, &mut hbm.borrow_mut(), &plan)
+                });
+                let spec = TaskSpec::batch(key, Box::new(()), run)
+                    .priority(compaction_priority)
+                    .at(at);
                 let h = cluster.submit(device, spec)?;
-                compaction_tickets.insert((device, h), pi);
+                track(&mut origins, device, h, Origin::Plan(i))?;
+                continue;
             }
+            let p = &queries[i];
             for s in 0..n_shards {
-                let primary = cluster
-                    .route_replica(s, &[])
-                    .expect("every shard has at least one replica");
-                let handle = cluster.submit(
-                    primary,
-                    make_task(info, s, primary, info.arrival, info.priority),
-                )?;
-                tickets.insert((primary, handle), (info.ticket, s, false, 0));
-                let mut tried = vec![primary];
+                let slot = i * n_shards + s;
+                let primary = route(&cluster, s, &[])?;
+                let task = make_task(p, s, primary, p.spec.arrival, p.spec.priority);
+                let h = cluster.submit(primary, task)?;
+                let read = |hedge| Origin::Read {
+                    slot,
+                    hedge,
+                    round: 0,
+                };
+                track(&mut origins, primary, h, read(false))?;
+                slots[slot].tried.push(primary);
                 if let Some(delay) = hedge {
                     // The hedge goes to a different replica when one
                     // exists (same device otherwise — the single-replica
                     // behavior).
-                    let hd = cluster.route_replica(s, &tried).unwrap_or(primary);
-                    let h = cluster.submit(
-                        hd,
-                        make_task(info, s, hd, info.arrival + delay, Priority::High),
-                    )?;
-                    tickets.insert((hd, h), (info.ticket, s, true, 0));
+                    let hd = cluster.route_replica(s, &[primary]).unwrap_or(primary);
+                    let task = make_task(p, s, hd, p.spec.arrival + delay, Priority::High);
+                    let h = cluster.submit(hd, task)?;
+                    track(&mut origins, hd, h, read(true))?;
                     if hd != primary {
-                        tried.push(hd);
+                        slots[slot].tried.push(hd);
                     }
                 }
-                slots.insert(
-                    (info.ticket, s),
-                    SlotState {
-                        tried,
-                        copies: Vec::new(),
-                    },
-                );
             }
-        }
-
-        // Plans arriving after the last query still ride this drain.
-        for (pi, _, device, spec) in comp_queue {
-            let h = cluster.submit(device, spec)?;
-            compaction_tickets.insert((device, h), pi);
         }
 
         // Drain-and-failover loop: each round drains every device, feeds
         // health tracking, then resubmits fully-failed reads on untried
         // replicas. Bounded: each failover consumes an untried replica.
+        let mut comp_results: Vec<(usize, Completion)> = Vec::new();
         let mut failover_submissions: u64 = 0;
         let mut round: u32 = 0;
         loop {
             let drained = cluster.drain()?;
-            let mut touched: Vec<(u64, usize)> = Vec::new();
+            let mut touched: Vec<usize> = Vec::new();
             for (device, completions) in drained.into_iter().enumerate() {
                 for done in completions {
-                    // Compaction completions are background work: they
-                    // feed the corpus, not the query merge (and not
-                    // replica health — a failed merge says nothing a
-                    // query read would act on).
-                    if let Some(pi) = compaction_tickets.remove(&(device, done.handle)) {
-                        comp_results.push((pi, done));
-                        continue;
+                    match origins[device].get(done.handle.id() as usize) {
+                        Some(&Origin::Read {
+                            slot,
+                            hedge,
+                            round: copy_round,
+                        }) => {
+                            // Health hears device-attributable outcomes
+                            // only: deadline expiry and admission shedding
+                            // say nothing about the replica.
+                            if done.is_ok() {
+                                cluster.record_outcome(device, true, done.finished_at);
+                            } else if done.error().is_some_and(Error::is_transient) {
+                                cluster.record_outcome(device, false, done.finished_at);
+                            }
+                            touched.push(slot);
+                            slots[slot].copies.push(Retired {
+                                device,
+                                hedge,
+                                round: copy_round,
+                                done,
+                            });
+                        }
+                        // Compaction completions are background work: they
+                        // feed the corpus, not the query merge (and not
+                        // replica health — a failed merge says nothing a
+                        // query read would act on).
+                        Some(&Origin::Plan(pi)) => comp_results.push((pi, done)),
+                        None => {
+                            return Err(Error::InvalidArg(format!(
+                                "device {device} retired unknown task {}",
+                                done.handle.id()
+                            )))
+                        }
                     }
-                    let (ticket, s, is_hedge, rnd) = tickets
-                        .remove(&(device, done.handle))
-                        .expect("every completion maps to a submitted copy");
-                    // Health hears device-attributable outcomes only:
-                    // deadline expiry and admission shedding say nothing
-                    // about the replica.
-                    if done.is_ok() {
-                        cluster.record_outcome(device, true, done.finished_at);
-                    } else if done.error().is_some_and(Error::is_transient) {
-                        cluster.record_outcome(device, false, done.finished_at);
-                    }
-                    touched.push((ticket, s));
-                    slots
-                        .get_mut(&(ticket, s))
-                        .expect("every copy belongs to a slot")
-                        .copies
-                        .push((device, is_hedge, rnd, done));
                 }
             }
-            touched.sort_unstable();
+            // Failovers go out in (ticket, shard) order.
+            touched
+                .sort_unstable_by_key(|&slot| (queries[slot / n_shards].ticket.0, slot % n_shards));
             touched.dedup();
             let mut resubmitted = false;
-            for (ticket, s) in touched {
-                let slot = slots.get_mut(&(ticket, s)).expect("touched slots exist");
-                if slot.copies.iter().any(|(_, _, _, c)| c.is_ok()) {
-                    continue;
-                }
+            for slot in touched {
+                let s = slot % n_shards;
+                let read = &mut slots[slot];
                 // Fail over only pure device failures: an expired
                 // deadline or a shed copy means the SLO lapsed, and
                 // another replica cannot un-lapse it.
-                if !slot
+                if !read
                     .copies
                     .iter()
-                    .all(|(_, _, _, c)| c.error().is_some_and(Error::is_transient))
+                    .all(|c| c.done.error().is_some_and(Error::is_transient))
                 {
                     continue;
                 }
-                let Some(next) = cluster.route_replica(s, &slot.tried) else {
+                let Some(next) = cluster.route_replica(s, &read.tried) else {
                     continue; // replica set exhausted: the slot stays failed
                 };
-                let info = &infos[index_of[&ticket]];
-                let (from, observed) = slot
-                    .copies
-                    .iter()
-                    .map(|(d, _, _, c)| (*d, c.finished_at))
-                    .max_by_key(|&(_, at)| at)
-                    .expect("a failed slot has at least one copy");
-                let spec = make_task(info, s, next, info.arrival, info.priority);
-                let h = cluster.submit_failover(next, spec, from, observed)?;
-                tickets.insert((next, h), (ticket, s, false, round + 1));
-                slot.tried.push(next);
+                let Some(last) = read.copies.iter().max_by_key(|c| c.done.finished_at) else {
+                    continue; // nothing retired, so nothing failed
+                };
+                let p = &queries[slot / n_shards];
+                let spec = make_task(p, s, next, p.spec.arrival, p.spec.priority);
+                let h = cluster.submit_failover(next, spec, last.device, last.done.finished_at)?;
+                let origin = Origin::Read {
+                    slot,
+                    hedge: false,
+                    round: round + 1,
+                };
+                track(&mut origins, next, h, origin)?;
+                read.tried.push(next);
                 failover_submissions += 1;
                 resubmitted = true;
             }
@@ -1316,10 +1239,9 @@ impl ShardedRagServer {
         // either way — every admitted query pinned its snapshot.
         comp_results.sort_by_key(|(pi, _)| plans[*pi].seq);
         for (pi, done) in comp_results {
-            let plan = &plans[pi];
             match done.into_output::<Segment>() {
-                Ok(merged) => self.corpus.apply_compaction(plan, merged),
-                Err(_) => self.corpus.fail_compaction(plan),
+                Ok(merged) => self.corpus.apply_compaction(&plans[pi], merged),
+                Err(_) => self.corpus.fail_compaction(&plans[pi]),
             }
         }
         // Queue counters are cumulative across drain rounds, so one
@@ -1332,88 +1254,14 @@ impl ShardedRagServer {
             queue.merge(st);
         }
 
-        // Merge each query's slot winners into one global completion.
-        let mut completions = Vec::with_capacity(infos.len());
+        // Merge each query's shard reads into one global completion.
+        let mut completions = Vec::with_capacity(queries.len());
         let mut failover_served = 0u64;
-        for info in &infos {
-            // Winner per shard slot: the first successful copy (the
-            // answer a client would act on), falling back to the
-            // earliest-observed failure when every copy failed.
-            // (is_hedge, failover_round, winner).
-            let mut parts: Vec<(bool, u32, Completion)> = Vec::with_capacity(n_shards);
-            let mut failovers = 0u32;
-            for s in 0..n_shards {
-                let slot = slots
-                    .remove(&(info.ticket, s))
-                    .expect("every slot was populated at submission");
-                failovers += slot.copies.iter().filter(|(_, _, r, _)| *r > 0).count() as u32;
-                let mut copies = slot.copies;
-                copies.sort_by_key(|(d, h, r, c)| (!c.is_ok(), c.finished_at, *h, *r, *d));
-                let (_, h, r, c) = copies
-                    .into_iter()
-                    .next()
-                    .expect("every slot retires at least one copy");
-                parts.push((h, r, c));
-            }
-            let hedged = parts.iter().any(|(h, _, c)| *h && c.is_ok());
-            if parts.iter().any(|(_, r, c)| *r > 0 && c.is_ok()) {
-                failover_served += 1;
-            }
-            let started_at = parts
-                .iter()
-                .map(|(_, _, c)| c.started_at)
-                .min()
-                .unwrap_or_default();
-            let finished_at = parts
-                .iter()
-                .map(|(_, _, c)| c.finished_at)
-                .max()
-                .unwrap_or_default();
-            let attempts = parts.iter().map(|(_, _, c)| c.attempts).max().unwrap_or(1);
-            let tenant = parts.first().map(|(_, _, c)| c.tenant).unwrap_or_default();
-            let critical = parts
-                .iter()
-                .map(|(_, _, c)| c)
-                .max_by_key(|c| c.finished_at)
-                .expect("a query fans out to at least one shard");
-            let stages = critical.stage_breakdown();
-            let batch_size = critical.batch_size;
-            let shards_total = parts.len();
-            let mut hits = Vec::new();
-            let mut shards_ok = 0;
-            let mut first_err = None;
-            for (_, _, done) in parts {
-                match done.into_output::<Vec<Hit>>() {
-                    Ok(shard_hits) => {
-                        shards_ok += 1;
-                        hits.extend(shard_hits);
-                    }
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-            }
-            let outcome = match first_err {
-                Some(e) if shards_ok == 0 => Err(e),
-                _ => Ok(top_k(hits, k)),
-            };
-            completions.push(QueryCompletion {
-                ticket: QueryTicket(info.ticket),
-                tenant,
-                arrival: info.arrival,
-                started_at,
-                finished_at,
-                batch_size,
-                attempts,
-                stages,
-                shards_ok,
-                shards_total,
-                hedged,
-                failovers,
-                outcome,
-            });
+        let mut slots = slots.into_iter();
+        for p in &queries {
+            let (done, used_failover) = merge_reads(p, slots.by_ref().take(n_shards), k)?;
+            failover_served += u64::from(used_failover);
+            completions.push(done);
         }
         completions.sort_by_key(|c| (c.finished_at, c.ticket.0));
         let replica = ReplicaStats {
@@ -1439,11 +1287,146 @@ impl ShardedRagServer {
     }
 }
 
+/// Where one device task of a drain came from.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    /// A copy of one (query, shard) read: its slot, whether it is the
+    /// hedge copy, and the failover round that submitted it.
+    Read {
+        slot: usize,
+        hedge: bool,
+        round: u32,
+    },
+    /// The compaction plan at this index of the drain's plans.
+    Plan(usize),
+}
+
+/// One (query, shard) read: the replicas tried so far and every retired
+/// copy.
+#[derive(Default)]
+struct Slot {
+    tried: Vec<usize>,
+    copies: Vec<Retired>,
+}
+
+/// One retired copy of a read, with the device and origin it ran under.
+struct Retired {
+    device: usize,
+    hedge: bool,
+    round: u32,
+    done: Completion,
+}
+
+/// Records the origin of the task `handle` just submitted to `device`:
+/// at the handle's id in the device's table, which holds because a
+/// drain's fresh queues number their tasks 0, 1, 2, …
+fn track(
+    origins: &mut [Vec<Origin>],
+    device: usize,
+    handle: TaskHandle,
+    origin: Origin,
+) -> Result<()> {
+    let table = &mut origins[device];
+    if handle.id() != table.len() as u64 {
+        return Err(Error::InvalidArg(format!(
+            "device {device} numbered task {} out of order",
+            handle.id()
+        )));
+    }
+    table.push(origin);
+    Ok(())
+}
+
+/// Merges one query's shard reads into its global completion, and says
+/// whether the answer used a failover copy. Per read the first
+/// successful copy wins (the answer a client would act on), falling back
+/// to the earliest-observed failure when every copy failed. The critical
+/// shard (the one retiring last) supplies the stage breakdown and batch
+/// size; `attempts` is the worst case over shards. Hits from the shards
+/// that answered merge with [`top_k`], and the query fails only when
+/// every shard dropped it, with the first shard's error.
+fn merge_reads(
+    p: &PendingQuery,
+    reads: impl Iterator<Item = Slot>,
+    k: usize,
+) -> Result<(QueryCompletion, bool)> {
+    let mut parts: Vec<Retired> = Vec::new();
+    let mut failovers = 0u32;
+    for read in reads {
+        failovers += read.copies.iter().filter(|c| c.round > 0).count() as u32;
+        let winner = read
+            .copies
+            .into_iter()
+            .min_by_key(|c| {
+                (
+                    !c.done.is_ok(),
+                    c.done.finished_at,
+                    c.hedge,
+                    c.round,
+                    c.device,
+                )
+            })
+            .ok_or_else(|| Error::InvalidArg("a shard read retired no copy".into()))?;
+        parts.push(winner);
+    }
+    let hedged = parts.iter().any(|c| c.hedge && c.done.is_ok());
+    let used_failover = parts.iter().any(|c| c.round > 0 && c.done.is_ok());
+    let started_at = parts.iter().map(|c| c.done.started_at).min();
+    let finished_at = parts.iter().map(|c| c.done.finished_at).max();
+    let attempts = parts.iter().map(|c| c.done.attempts).max().unwrap_or(1);
+    let tenant = parts.first().map(|c| c.done.tenant).unwrap_or_default();
+    let (stages, batch_size) = parts
+        .iter()
+        .map(|c| &c.done)
+        .max_by_key(|c| c.finished_at)
+        .map(|c| (c.stage_breakdown(), c.batch_size))
+        .unwrap_or_default();
+    let shards_total = parts.len();
+    let mut hits = Vec::new();
+    let mut shards_ok = 0;
+    let mut first_err = None;
+    for part in parts {
+        match part.done.into_output::<Vec<Hit>>() {
+            Ok(shard_hits) => {
+                shards_ok += 1;
+                hits.extend(shard_hits);
+            }
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    let outcome = match first_err {
+        Some(e) if shards_ok == 0 => Err(e),
+        _ => Ok(top_k(hits, k)),
+    };
+    let done = QueryCompletion {
+        ticket: p.ticket,
+        tenant,
+        arrival: p.spec.arrival,
+        started_at: started_at.unwrap_or_default(),
+        finished_at: finished_at.unwrap_or_default(),
+        batch_size,
+        attempts,
+        stages,
+        shards_ok,
+        shards_total,
+        hedged,
+        failovers,
+        outcome,
+    };
+    Ok((done, used_failover))
+}
+
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::batch::retrieve_batch;
     use crate::corpus::CorpusSpec;
+    use crate::ivf::IvfIndex;
     use crate::mutable::flat_scan;
     use apu_sim::SimConfig;
     use hbm_sim::DramSpec;
@@ -1909,6 +1892,69 @@ mod tests {
             );
         }
         assert!(report.ivf.searches >= 3, "one IVF dispatch per shard");
+    }
+
+    /// The IVF index lives on the base segment it indexes: every drain
+    /// over one base, on either replica, scans the same index, and a
+    /// compacted base brings a fresh one while the old snapshot keeps its
+    /// own.
+    #[test]
+    fn drains_share_a_base_index_until_compaction_replaces_it() {
+        let store = corpus(900);
+        let cfg = ServeConfig {
+            index: IndexMode::Ivf {
+                nlist: 4,
+                nprobe: 2,
+            },
+            replicas: 2,
+            ..ServeConfig::default()
+        };
+        let sim = SimConfig::default().with_l4_bytes(8 << 20);
+        let mut server = ShardedRagServer::new_mutable(&store, 2, sim, cfg).unwrap();
+        let serve = |server: &mut ShardedRagServer, at: u64| {
+            for i in 0..4 {
+                server
+                    .submit(Duration::from_micros(at + i), store.query(at + i))
+                    .unwrap();
+            }
+            let report = server.drain().unwrap();
+            assert_eq!(report.served(), 4);
+            server.corpus_snapshot().unwrap()
+        };
+        let index = |snap: &Snapshot, shard: usize| -> *const IvfIndex {
+            let (_, index) = snap.shards[shard].segments[0]
+                .index
+                .get()
+                .expect("a drain built the base index");
+            index
+        };
+
+        let first = serve(&mut server, 0);
+        let second = serve(&mut server, 100);
+        assert!(Arc::ptr_eq(
+            &first.shards[0].segments[0],
+            &second.shards[0].segments[0]
+        ));
+        assert_eq!(index(&first, 0), index(&second, 0), "one base, one index");
+
+        assert!(server.delete_doc(5).unwrap());
+        server
+            .request_compaction(0, Duration::from_micros(200))
+            .unwrap()
+            .expect("the delete left work");
+        serve(&mut server, 200);
+        assert_eq!(server.corpus_stats().compactions, 1);
+        let third = serve(&mut server, 300);
+        assert!(!Arc::ptr_eq(
+            &first.shards[0].segments[0],
+            &third.shards[0].segments[0]
+        ));
+        assert_ne!(
+            index(&first, 0),
+            index(&third, 0),
+            "a new base, a new index"
+        );
+        assert_eq!(index(&first, 1), index(&third, 1), "shard 1 kept its base");
     }
 
     #[test]
