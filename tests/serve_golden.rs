@@ -1,6 +1,6 @@
 //! Stored-value goldens for the sharded server.
 //!
-//! Five fixed serving workloads each walk their whole [`ServeReport`] —
+//! Six fixed serving workloads each walk their whole [`ServeReport`] —
 //! every [`QueryCompletion`] field, every device's [`QueueStats`], the
 //! replica, IVF and corpus counters, `rejected` and
 //! [`ServeReport::prometheus_text`] — field by field into one canonical
@@ -405,6 +405,31 @@ fn mutable_churn() -> Vec<ServeReport> {
     vec![first, second]
 }
 
+/// A compaction plan at interactive priority arriving at the same
+/// instant as a query, on one single-core device that batches nothing:
+/// the plan is submitted first, so it dispatches before that query.
+fn tied_compaction() -> ServeReport {
+    let st = materialized(600, 16);
+    let cfg = ServeConfig {
+        batch_window: Duration::ZERO,
+        compaction_priority: Priority::Normal,
+        ..ServeConfig::default()
+    };
+    let sim = sim(ExecMode::Functional).with_cores(1);
+    let mut server = ShardedRagServer::new_mutable(&st, 1, sim, cfg).expect("server");
+    server.insert_doc(&st.query(700)).expect("insert");
+    server
+        .request_compaction(0, Duration::from_micros(50))
+        .expect("shard in range")
+        .expect("the insert left work");
+    for i in 0..3u64 {
+        server
+            .submit(Duration::from_micros(50 * i), st.query(i))
+            .expect("submit");
+    }
+    server.drain().expect("drain")
+}
+
 /// Functional IVF (8 lists, 2 probes) on a clustered two-shard mutable
 /// corpus: a first drain builds both base indexes, a compaction replaces
 /// shard 0's base, and two more drains serve over the new base.
@@ -481,6 +506,13 @@ fn mutable_churn_reports_are_pinned() {
     assert_eq!(reports[0].corpus.compactions, 1);
     assert_eq!(reports[0].corpus.compaction_failures, 1);
     check("mutable churn", digest(&reports), 0x4731_a3e8_566c_0f31);
+}
+
+#[test]
+fn tied_compaction_report_is_pinned() {
+    let report = tied_compaction();
+    assert_eq!(report.corpus.compactions, 1);
+    check("tied compaction", digest(&[report]), 0x24f9_695f_54bd_cde5);
 }
 
 #[test]
