@@ -1,12 +1,12 @@
 //! Stored-value goldens for the sharded server.
 //!
-//! Six fixed serving workloads each walk their whole [`ServeReport`] —
+//! Seven fixed serving workloads each walk their whole [`ServeReport`] —
 //! every [`QueryCompletion`] field, every device's [`QueueStats`], the
 //! replica, IVF and corpus counters, `rejected` and
 //! [`ServeReport::prometheus_text`] — field by field into one canonical
 //! text (durations in nanoseconds, errors by `Display`), and pin its
-//! 64-bit FNV-1a digest. One traced run pins its
-//! [`ShardedRagServer::take_chrome_trace`] document too.
+//! 64-bit FNV-1a digest. Two traced runs pin their
+//! [`ShardedRagServer::take_chrome_trace`] documents too.
 //!
 //! The replay goldens (`golden_trace.rs`, `timing_golden.rs`) compare two
 //! runs of one build, so they cannot see a drift between commits; these
@@ -331,6 +331,32 @@ fn killed_replica() -> ServeReport {
     server.drain().expect("drain")
 }
 
+/// Two shards × three replicas, unhedged, tracing on. Shard 0's
+/// replica 0 (device 0) fails every task and its replica 1 (device 1)
+/// every second task, so device 1 goes down, is revived by a success and
+/// goes down again, and the lost reads fail over to the healthy
+/// replica 2 while device 1 is down.
+fn flapping_replicas() -> (ServeReport, String) {
+    let st = materialized(2_000, 17);
+    let cfg = ServeConfig {
+        replicas: 3,
+        ..ServeConfig::default()
+    };
+    let mut server = ShardedRagServer::new(&st, 2, sim(ExecMode::Functional), cfg).expect("server");
+    server.enable_tracing();
+    server.inject_faults_replica(0, 0, FaultPlan::new(6).fail_every_kth_task(1));
+    server.inject_faults_replica(0, 1, FaultPlan::new(7).fail_every_kth_task(2));
+    for i in 0..12u64 {
+        let slot = (i * 5) % 12;
+        server
+            .submit(Duration::from_micros(40 * slot), st.query(i))
+            .expect("submit");
+    }
+    let report = server.drain().expect("drain");
+    let trace = server.take_chrome_trace().expect("tracing was enabled");
+    (report, trace)
+}
+
 /// `SloAware` on one single-core device: two tenants (tenant 1 weighs
 /// 3, tenant 0 submits at low priority), admission watermarks that shed
 /// the backlog, and tight TTLs that expire queries before they start.
@@ -490,6 +516,34 @@ fn killed_replica_report_is_pinned() {
     let report = killed_replica();
     assert!(report.replica.failovers > 0, "the dead replica fails over");
     check("killed replica", digest(&[report]), 0x961e_08b1_e170_acd9);
+}
+
+#[test]
+fn flapping_replica_report_and_trace_are_pinned() {
+    let (report, trace) = flapping_replicas();
+    let events = |name: &str| trace.matches(&format!("\"name\":\"{name}")).count();
+    let first = |name: &str| trace.find(&format!("\"name\":\"{name}"));
+    assert!(events("replica down") > 0 && events("failover") > 0);
+    // Device 1 is marked down twice, so a success revived it in between
+    // (a failure while down marks nothing).
+    assert!(events("replica down d1\"") >= 2, "device 1 flaps");
+    assert!(report.replica.down >= 2);
+    // Device 0 fails every read, so it is down from its first one on;
+    // no failover targets it, though it is idle after the first round
+    // and the lowest-numbered replica.
+    assert_eq!(events("failover d1→d0") + events("failover d2→d0"), 0);
+    // Device 1 is marked down before any failover reaches it, so it lost
+    // a first-round read. That read's untried replicas were device 0
+    // (down) and device 2 (up), and it failed over to device 2.
+    let (down, reached) = (first("replica down d1"), first("failover d0→d1"));
+    assert!(down.is_some() && reached.is_some() && down < reached);
+    assert!(events("failover d1→d2") > 0);
+    assert!(report
+        .completions
+        .iter()
+        .all(|c| c.is_ok() && !c.is_degraded()));
+    check("flapping report", digest(&[report]), 0xe7d2_688b_2dac_dd43);
+    check("flapping trace", fnv1a(&trace), 0x0421_ca60_1970_1579);
 }
 
 #[test]
