@@ -106,7 +106,6 @@ pub struct ApuDevice {
     cores: Vec<ApuCore>,
     faults: Option<FaultState>,
     trace: Option<SharedSink>,
-    fast_forward: bool,
     memo: HashMap<u64, MemoEntry>,
     memo_counters: MemoCounters,
 }
@@ -143,7 +142,6 @@ impl ApuDevice {
             // store so paper-scale (multi-GB) configurations stay cheap.
             Dram::new_virtual(cfg.l4_bytes)
         };
-        let fast_forward = cfg.fast_forward;
         Ok(ApuDevice {
             l4,
             l3: vec![0; cfg.l3_bytes],
@@ -151,25 +149,12 @@ impl ApuDevice {
             cfg,
             faults: None,
             trace: None,
-            fast_forward,
             memo: HashMap::new(),
             memo_counters: MemoCounters::default(),
         })
     }
 
     // ---------------- timing fast-forward ----------------
-
-    /// Enables or disables timing fast-forward at runtime (see
-    /// [`ApuDevice::run_task_memoized`]). Disabling does not drop
-    /// already-recorded entries; they simply stop being replayed.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on;
-    }
-
-    /// Whether timing fast-forward is currently enabled.
-    pub fn fast_forward(&self) -> bool {
-        self.fast_forward
-    }
 
     /// Replay-cache activity so far.
     pub fn memo_counters(&self) -> MemoCounters {
@@ -218,11 +203,6 @@ impl ApuDevice {
     /// dispatch gate.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(FaultState::new(plan));
-    }
-
-    /// Disarms fault injection.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
     }
 
     /// Fault-injection activity so far; all zeroes when disarmed.
@@ -406,8 +386,7 @@ impl ApuDevice {
     /// cache is consulted only when ALL of the following hold; otherwise
     /// the kernel executes exactly like [`ApuDevice::run_task`]:
     ///
-    /// - fast-forward is enabled ([`SimConfig::fast_forward`] /
-    ///   [`ApuDevice::set_fast_forward`]),
+    /// - fast-forward is enabled ([`SimConfig::fast_forward`]),
     /// - the device is in timing-only mode (functional payloads may be
     ///   data-dependent, so they are never replayed),
     /// - no trace sink is installed (a replay emits no events),
@@ -431,7 +410,7 @@ impl ApuDevice {
         F: FnOnce(&mut ApuContext<'_>) -> Result<T>,
     {
         let replay_ok =
-            self.fast_forward && !self.cfg.exec_mode.is_functional() && self.trace.is_none();
+            self.cfg.fast_forward && !self.cfg.exec_mode.is_functional() && self.trace.is_none();
         let dma_idle_at = |core: &ApuCore| {
             let now = core.cycles();
             core.dma_engines_busy_until().iter().all(|&b| b <= now)
@@ -872,7 +851,7 @@ mod tests {
             .with_fast_forward(true);
         // Trace sink installed: every run executes normally.
         let mut dev = ApuDevice::new(cfg.clone());
-        let sink = SharedSink::new(crate::trace::TraceRecorder::new());
+        let (sink, _recorder) = crate::trace::TraceRecorder::shared();
         dev.install_trace_sink(sink);
         dev.run_task_memoized(1, charge_task).unwrap();
         dev.run_task_memoized(1, charge_task).unwrap();
@@ -896,17 +875,15 @@ mod tests {
         // default follows APU_SIM_FAST_FORWARD, which the CI matrix
         // sets, so the off-path must be pinned independently of the
         // ambient environment.
-        let mut dev = ApuDevice::new(
-            SimConfig::default()
-                .with_exec_mode(crate::ExecMode::TimingOnly)
-                .with_l4_bytes(1 << 20)
-                .with_fast_forward(false),
-        );
+        let cfg = SimConfig::default()
+            .with_exec_mode(crate::ExecMode::TimingOnly)
+            .with_l4_bytes(1 << 20);
+        let mut dev = ApuDevice::new(cfg.clone().with_fast_forward(false));
         dev.run_task_memoized(1, charge_task).unwrap();
         dev.run_task_memoized(1, charge_task).unwrap();
         assert_eq!(dev.memo_counters().hits, 0);
-        // ... until enabled at runtime.
-        dev.set_fast_forward(true);
+        // ... until a device is built with it enabled.
+        let mut dev = ApuDevice::new(cfg.with_fast_forward(true));
         dev.run_task_memoized(1, charge_task).unwrap();
         dev.run_task_memoized(1, charge_task).unwrap();
         assert_eq!(dev.memo_counters().hits, 1);

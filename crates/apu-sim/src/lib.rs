@@ -70,7 +70,6 @@
 //! companion `gvml` crate.
 
 pub mod clock;
-pub mod cluster;
 pub mod config;
 pub mod core;
 pub mod device;
@@ -88,7 +87,6 @@ pub mod trace;
 pub mod workload;
 
 pub use clock::{Cycles, Frequency};
-pub use cluster::{DeviceCluster, HealthTracker};
 pub use config::{fast_forward_from_env, ExecMode, SimConfig};
 pub use core::{ApuCore, Marker, Vmr, Vr};
 pub use device::{ApuContext, ApuDevice, CoreTask, MemoCounters, TaskReport};
@@ -104,9 +102,7 @@ pub use queue::{
 pub use spec::{AdmissionControl, SchedPolicy, TaskSpec, TenantId};
 pub use stats::{LatencyReservoir, OpCounts, StageBreakdown, TenantStats, VcuStats};
 pub use timing::{DeviceTiming, VecOp};
-pub use trace::{
-    chrome_trace_json_grouped, SharedSink, TraceEvent, TraceEventKind, TraceRecorder, TraceSink,
-};
+pub use trace::{chrome_trace_json_grouped, SharedSink, TraceEvent, TraceEventKind, TraceRecorder};
 pub use workload::{ArrivalEvent, ArrivalProcess, TenantTraffic, TrafficSpec, WorkloadTrace};
 
 /// Crate-wide result type.

@@ -502,11 +502,15 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         self.dev.config().clock.secs_to_cycles(at.as_secs_f64())
     }
 
-    /// Emits one queue-domain trace event stamped at virtual time `at`.
-    /// The payload is built lazily so an untraced queue never even
-    /// constructs it — with no sink installed this is a branch and
-    /// nothing else, and in all cases no virtual time is charged.
-    fn emit_with(&self, at: Duration, kind: impl FnOnce() -> TraceEventKind) {
+    /// Emits one queue-domain trace event stamped at virtual time `at`
+    /// on the device's trace sink — the queue's own lifecycle events and
+    /// a caller's, such as a replicated server's
+    /// [`TraceEventKind::ReplicaDown`] and
+    /// [`TraceEventKind::FailoverIssued`]. The payload is built lazily so
+    /// an untraced queue never even constructs it — with no sink
+    /// installed this is a branch and nothing else, and in all cases no
+    /// virtual time is charged.
+    pub fn emit_with(&self, at: Duration, kind: impl FnOnce() -> TraceEventKind) {
         if let Some(t) = self.dev.trace() {
             t.record(TraceEvent {
                 ts: self.trace_ts(at),

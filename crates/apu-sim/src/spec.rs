@@ -1,12 +1,11 @@
 //! Unified task-submission specification for the serving engine.
 //!
 //! [`TaskSpec`] is the one way to submit work to a
-//! [`crate::DeviceQueue`] or [`crate::DeviceCluster`]: every submission
-//! option — [`Priority`] class, tenant, arrival time, TTL/deadline,
-//! [`BatchKey`] — composes freely on one builder. A
-//! cluster submission names its device as a separate argument. Every
-//! spec describes a batch member: a plain job is a runner with one
-//! output and no key, so it always dispatches alone.
+//! [`crate::DeviceQueue`]: every submission option — [`Priority`] class,
+//! tenant, arrival time, TTL/deadline, [`BatchKey`] — composes freely on
+//! one builder. A multi-device caller picks the device by picking its
+//! queue. Every spec describes a batch member: a plain job is a runner
+//! with one output and no key, so it always dispatches alone.
 //!
 //! ```
 //! use apu_sim::{ApuDevice, DeviceQueue, Priority, QueueConfig, SimConfig, TaskSpec, TenantId};
@@ -111,10 +110,9 @@ impl AdmissionControl {
     }
 }
 
-/// A fully described submission for [`crate::DeviceQueue::submit`] /
-/// [`crate::DeviceCluster::submit`]: the work itself plus every
-/// scheduling attribute, with builder-style setters. See the
-/// [module documentation](self) for an example.
+/// A fully described submission for [`crate::DeviceQueue::submit`]: the
+/// work itself plus every scheduling attribute, with builder-style
+/// setters. See the [module documentation](self) for an example.
 pub struct TaskSpec<'t> {
     pub(crate) priority: Priority,
     pub(crate) arrival: Duration,

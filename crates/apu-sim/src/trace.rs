@@ -3,8 +3,8 @@
 //! The paper's methodology rests on *attributing* time — Tables 4/5
 //! calibrate per-op latencies and §4–§5 decompose workloads into DMA,
 //! compute, and queueing components. This module gives the simulator the
-//! same capability at the serving layer: a [`TraceSink`] installed on an
-//! [`crate::ApuDevice`] receives typed [`TraceEvent`]s for the full task
+//! same capability at the serving layer: a [`TraceRecorder`] installed on
+//! an [`crate::ApuDevice`] receives typed [`TraceEvent`]s for the full task
 //! lifecycle (submitted → queued → dispatched → retired / failed /
 //! expired), continuous-batch formation (key, members, wait window),
 //! asynchronous DMA issue/wait on both per-core engines, retry/backoff
@@ -165,16 +165,19 @@ pub enum TraceEventKind {
         /// [`crate::FaultCounts::tasks_injected`]).
         seq: u64,
     },
-    /// Cluster health tracking marked this device's replica down;
-    /// replica routing steers reads around it until it serves again.
+    /// A replicated server's health tracking marked this device's
+    /// replica down; replica routing steers reads around it until it
+    /// serves again (emitted by the `rag` crate via
+    /// [`crate::DeviceQueue::emit_with`]).
     ReplicaDown {
-        /// Cluster-wide device index of the downed replica.
+        /// Server-wide device index of the downed replica.
         device: usize,
         /// Lifetime device-attributable failures recorded for it.
         failures: u64,
     },
     /// A failed task was transparently resubmitted on another replica
-    /// of the same logical shard.
+    /// of the same logical shard (emitted by the `rag` crate via
+    /// [`crate::DeviceQueue::emit_with`]).
     FailoverIssued {
         /// Submission handle of the new attempt on the target device.
         handle: u64,
@@ -273,17 +276,7 @@ impl TraceEvent {
     }
 }
 
-/// Receiver of trace events.
-///
-/// Implementations must be cheap: `record` is called synchronously from
-/// the scheduler and DMA hot paths (only when a sink is installed).
-/// Sinks observe; they can never perturb simulated time.
-pub trait TraceSink {
-    /// Records one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// A shareable handle to an installed [`TraceSink`].
+/// A shareable handle to a [`TraceRecorder`] installed on a device.
 ///
 /// Cloning shares the sink, so a caller can keep one handle for reading
 /// results while the device holds the other:
@@ -299,20 +292,15 @@ pub trait TraceSink {
 /// assert_eq!(recorder.borrow().len(), 0);
 /// ```
 #[derive(Clone)]
-pub struct SharedSink(Rc<RefCell<dyn TraceSink>>);
+pub struct SharedSink(Rc<RefCell<TraceRecorder>>);
 
 impl SharedSink {
-    /// Wraps a sink for installation on a device.
-    pub fn new(sink: impl TraceSink + 'static) -> Self {
-        SharedSink(Rc::new(RefCell::new(sink)))
+    /// Wraps an already-shared recorder cell.
+    pub fn from_rc(recorder: Rc<RefCell<TraceRecorder>>) -> Self {
+        SharedSink(recorder)
     }
 
-    /// Wraps an already-shared sink cell.
-    pub fn from_rc(sink: Rc<RefCell<dyn TraceSink>>) -> Self {
-        SharedSink(sink)
-    }
-
-    /// Forwards one event to the sink.
+    /// Forwards one event to the recorder.
     pub fn record(&self, event: TraceEvent) {
         self.0.borrow_mut().record(event);
     }
@@ -324,7 +312,7 @@ impl fmt::Debug for SharedSink {
     }
 }
 
-/// In-memory trace sink for tests: records every event in order.
+/// The in-memory trace sink: records every event in order.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     events: Vec<TraceEvent>,
@@ -343,6 +331,13 @@ impl TraceRecorder {
     pub fn shared() -> (SharedSink, Rc<RefCell<TraceRecorder>>) {
         let rec = Rc::new(RefCell::new(TraceRecorder::new()));
         (SharedSink::from_rc(rec.clone()), rec)
+    }
+
+    /// Appends one event. Called synchronously from the scheduler and
+    /// DMA hot paths (only when a sink is installed); recording observes
+    /// and never perturbs simulated time.
+    pub fn record(&mut self, event: TraceEvent) {
+        self.events.push(event);
     }
 
     /// The recorded events, in emission order.
@@ -376,12 +371,6 @@ impl TraceRecorder {
     /// comparison.
     pub fn kind_signatures(&self) -> Vec<String> {
         self.events.iter().map(TraceEvent::kind_signature).collect()
-    }
-}
-
-impl TraceSink for TraceRecorder {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
     }
 }
 

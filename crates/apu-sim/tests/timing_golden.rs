@@ -4,12 +4,11 @@
 //! must charge exactly those costs on its virtual timeline. This is the
 //! regression guard for `timing.rs` against scheduler-layer changes.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use apu_sim::{
-    ApuDevice, BatchKey, Cycles, DeviceCluster, DeviceQueue, DeviceTiming, Error, ExecMode,
-    FaultPlan, Priority, QueueConfig, RetryPolicy, SimConfig, TaskSpec, TraceRecorder, VecOp, Vmr,
+    ApuDevice, BatchKey, Cycles, DeviceQueue, DeviceTiming, ExecMode, FaultPlan, Priority,
+    QueueConfig, RetryPolicy, SimConfig, TaskSpec, TraceRecorder, VecOp, Vmr,
 };
 
 /// Table 5 measured column (cycles per 32K-element vector command).
@@ -185,10 +184,10 @@ const KEY_SHARDS: [[usize; 5]; 8] = [
     [3, 0, 4, 7, 3],
 ];
 
-/// A fixed mixed workload on a [`DeviceCluster`] — batchables pinned by
-/// key ([`KEY_SHARDS`]), one high-priority job per shard, a fault plan
-/// on one shard, bounded retries — with a [`TraceRecorder`] on every
-/// device.
+/// A fixed mixed workload on one [`DeviceQueue`] per shard device —
+/// batchables pinned by key ([`KEY_SHARDS`]), one high-priority job per
+/// shard, a fault plan on one shard, bounded retries — with a
+/// [`TraceRecorder`] on every device.
 /// Returns per-shard full trace signatures, per-shard timestamp-free
 /// kind signatures, and per-shard completion timelines (cycles and
 /// queue timestamps).
@@ -229,15 +228,16 @@ fn run_cluster_workload(mode: ExecMode) -> ClusterGolden {
             max_retries: 1,
             ..RetryPolicy::default()
         });
-    let mut cluster =
-        DeviceCluster::new(devices.iter_mut().collect(), cfg, 1).expect("cluster construction");
+    let mut queues: Vec<DeviceQueue<'_, '_>> = devices
+        .iter_mut()
+        .map(|dev| DeviceQueue::new(dev, cfg.clone()))
+        .collect();
 
     let key_shards = KEY_SHARDS[shards.min(KEY_SHARDS.len()) - 1];
     for i in 0..12u64 {
         let key = i % 5 + 1;
-        cluster
+        queues[key_shards[key as usize - 1]]
             .submit(
-                key_shards[key as usize - 1],
                 TaskSpec::batch(
                     BatchKey::new(key),
                     Box::new(i),
@@ -255,7 +255,7 @@ fn run_cluster_workload(mode: ExecMode) -> ClusterGolden {
             )
             .expect("submission");
     }
-    for shard in 0..shards {
+    for (shard, queue) in queues.iter_mut().enumerate() {
         let job = TaskSpec::job(Box::new(move |dev: &mut ApuDevice| {
             let r = dev.run_task(|ctx| {
                 ctx.core_mut().charge(VecOp::AddU16);
@@ -263,14 +263,14 @@ fn run_cluster_workload(mode: ExecMode) -> ClusterGolden {
             })?;
             Ok((r, Box::new(shard) as Box<dyn std::any::Any>))
         }));
-        cluster
-            .submit(
-                shard,
-                job.priority(Priority::High).at(Duration::from_micros(5)),
-            )
+        queue
+            .submit(job.priority(Priority::High).at(Duration::from_micros(5)))
             .expect("submission");
     }
-    let drained = cluster.drain().expect("drain");
+    let drained: Vec<_> = queues
+        .iter_mut()
+        .map(|q| q.drain().expect("drain"))
+        .collect();
 
     let signatures = recorders.iter().map(|r| r.borrow().signature()).collect();
     let kinds = recorders
@@ -290,8 +290,8 @@ fn run_cluster_workload(mode: ExecMode) -> ClusterGolden {
 
 /// Same seed + same shard count ⇒ byte-identical per-shard trace
 /// signatures (timestamps included) and identical completion timelines:
-/// the cluster layer — batching, per-shard faults, retries —
-/// adds no nondeterminism on top of the simulator.
+/// the queues — batching, per-shard faults, retries — add no
+/// nondeterminism on top of the simulator.
 #[test]
 fn cluster_trace_signatures_are_deterministic_per_shard() {
     let a = run_cluster_workload(ExecMode::Functional);
@@ -319,188 +319,6 @@ fn cluster_functional_and_timing_modes_agree_on_cycles() {
         f.2, t.2,
         "per-completion cycle accounting diverged across exec modes"
     );
-}
-
-/// Replication factor for the replicated workload: the CI replica axis
-/// (`APU_SIM_TEST_REPLICAS`) when set, otherwise 2.
-fn cluster_replicas() -> usize {
-    std::env::var("APU_SIM_TEST_REPLICAS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(2)
-}
-
-/// Per-job timeline row of the replicated workload:
-/// `(job, device, cycles, started, finished, ok)`.
-type ReplicatedGolden = (Vec<String>, Vec<Vec<String>>, ReplicaTimeline);
-type ReplicaTimeline = Vec<(u64, usize, Cycles, Duration, Duration, bool)>;
-
-/// A fixed replicated workload on a [`DeviceCluster`]:
-/// `APU_SIM_TEST_SHARDS` shard groups × `APU_SIM_TEST_REPLICAS`
-/// replicas (replica `r` of shard `s` is device `s * replicas + r`),
-/// the first replica of shard 0
-/// killed outright (every task faults), two jobs per shard routed to
-/// the least-loaded healthy replica, and a manual
-/// drain → [`DeviceCluster::record_outcome`] →
-/// [`DeviceCluster::submit_failover`] loop re-issuing transient
-/// failures on untried replicas. Returns per-device full trace
-/// signatures, per-device timestamp-free kind signatures, and the
-/// job timeline sorted by (job, device).
-fn run_replicated_workload(mode: ExecMode) -> ReplicatedGolden {
-    let shards = cluster_shards();
-    let replicas = cluster_replicas();
-    let n_devices = shards * replicas;
-    let mut devices: Vec<ApuDevice> = (0..n_devices)
-        .map(|_| {
-            ApuDevice::new(
-                SimConfig::default()
-                    .with_l4_bytes(1 << 20)
-                    .with_exec_mode(mode),
-            )
-        })
-        .collect();
-    let recorders: Vec<_> = devices
-        .iter_mut()
-        .map(|dev| {
-            let (sink, rec) = TraceRecorder::shared();
-            dev.install_trace_sink(sink);
-            rec
-        })
-        .collect();
-    devices[0].inject_faults(FaultPlan::new(9).fail_every_kth_task(1));
-
-    let mut cluster = DeviceCluster::new(
-        devices.iter_mut().collect(),
-        QueueConfig::default(),
-        replicas,
-    )
-    .expect("cluster construction");
-
-    let charge = || {
-        TaskSpec::kernel(|ctx| {
-            ctx.core_mut().charge(VecOp::MulS16);
-            Ok(())
-        })
-    };
-    // (device, handle) → (job, shard, original arrival, replicas tried).
-    type Booked = (u64, usize, Duration, Vec<usize>);
-    let mut book: HashMap<(usize, apu_sim::TaskHandle), Booked> = HashMap::new();
-    let mut job = 0u64;
-    for s in 0..shards {
-        for _ in 0..2 {
-            let at = Duration::from_micros(10 * job);
-            let device = cluster.route_replica(s, &[]).expect("a replica exists");
-            let handle = cluster.submit(device, charge().at(at)).expect("submission");
-            book.insert((device, handle), (job, s, at, vec![device]));
-            job += 1;
-        }
-    }
-
-    let mut timeline: ReplicaTimeline = Vec::new();
-    loop {
-        let drained = cluster.drain().expect("drain");
-        if drained.iter().all(Vec::is_empty) {
-            break;
-        }
-        let mut resubmits = Vec::new();
-        let completions = drained
-            .iter()
-            .enumerate()
-            .flat_map(|(device, done)| done.iter().map(move |c| (device, c)));
-        for (device, c) in completions {
-            let (job, shard, arrival, tried) = book
-                .get(&(device, c.handle))
-                .cloned()
-                .expect("every completion was booked");
-            cluster.record_outcome(device, c.is_ok(), c.finished_at);
-            timeline.push((
-                job,
-                device,
-                c.report.cycles,
-                c.started_at,
-                c.finished_at,
-                c.is_ok(),
-            ));
-            if c.error().is_some_and(Error::is_transient) {
-                resubmits.push((job, shard, arrival, tried, device, c.finished_at));
-            }
-        }
-        for (job, shard, arrival, mut tried, from, observed) in resubmits {
-            let Some(next) = cluster.route_replica(shard, &tried) else {
-                continue; // every replica tried — the job fails for good
-            };
-            let handle = cluster
-                .submit_failover(next, charge().at(arrival), from, observed)
-                .expect("failover resubmission");
-            tried.push(next);
-            book.insert((next, handle), (job, shard, arrival, tried));
-        }
-    }
-    timeline.sort_unstable_by_key(|&(job, device, ..)| (job, device));
-
-    let signatures = recorders.iter().map(|r| r.borrow().signature()).collect();
-    let kinds = recorders
-        .iter()
-        .map(|r| r.borrow().kind_signatures())
-        .collect();
-    (signatures, kinds, timeline)
-}
-
-/// The replicated workload is deterministic end to end: same shard and
-/// replica counts ⇒ byte-identical per-device trace signatures and the
-/// same job timeline, failovers included. With replication every job
-/// retires successfully despite the dead replica; without it the dead
-/// shard's jobs fail for good.
-#[test]
-fn replicated_cluster_failover_is_deterministic() {
-    let a = run_replicated_workload(ExecMode::Functional);
-    let b = run_replicated_workload(ExecMode::Functional);
-    for (device, (sa, sb)) in a.0.iter().zip(&b.0).enumerate() {
-        assert_eq!(
-            sa, sb,
-            "device {device} trace signature diverged across runs"
-        );
-    }
-    assert_eq!(a.2, b.2, "job timelines diverged across runs");
-
-    let shards = cluster_shards();
-    let replicas = cluster_replicas();
-    let jobs = 2 * shards;
-    let ok = a.2.iter().filter(|row| row.5).count();
-    if replicas >= 2 {
-        assert_eq!(ok, jobs, "failover must recover every job");
-        assert!(
-            a.2.iter().any(|row| !row.5),
-            "the dead replica must fail at least one attempt"
-        );
-        let all_kinds: Vec<String> = a.1.iter().flatten().cloned().collect();
-        assert!(
-            all_kinds.iter().any(|k| k.starts_with("replica-down")),
-            "the dead replica must be marked down"
-        );
-        assert!(
-            all_kinds.iter().any(|k| k.starts_with("failover")),
-            "failover re-issues must be traced"
-        );
-    } else {
-        assert_eq!(ok, jobs - 2, "shard 0's jobs have nowhere to go");
-    }
-}
-
-/// Functional and timing-only execution agree on the replicated
-/// workload: identical per-device event narratives and identical job
-/// timelines — the failover path charges the same virtual time in both
-/// modes.
-#[test]
-fn replicated_cluster_modes_agree_on_cycles() {
-    let f = run_replicated_workload(ExecMode::Functional);
-    let t = run_replicated_workload(ExecMode::TimingOnly);
-    assert_eq!(
-        f.1, t.1,
-        "per-device event kinds diverged across exec modes"
-    );
-    assert_eq!(f.2, t.2, "job timelines diverged across exec modes");
 }
 
 /// Tracing is an observer, never a participant: a run with a sink

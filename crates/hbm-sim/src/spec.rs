@@ -40,10 +40,12 @@ pub struct DramSpec {
     pub t_cl: u64,
     /// WR command → first data beat.
     pub t_cwl: u64,
-    /// Same-bank-group RD→RD spacing.
+    /// Spacing between two column commands to the same bank. Applied per
+    /// bank, not per bank group: commands to different banks are spaced
+    /// only by the channel's data bus, one burst
+    /// ([`DramSpec::burst_cycles`]) apart, which equals JEDEC tCCD_S on
+    /// both presets.
     pub t_ccd_l: u64,
-    /// Cross-bank-group RD→RD spacing.
-    pub t_ccd_s: u64,
     /// ACT→ACT to different banks, same rank.
     pub t_rrd: u64,
     /// Four-activate window.
@@ -77,7 +79,6 @@ impl DramSpec {
             t_cl: 23,
             t_cwl: 12,
             t_ccd_l: 4,
-            t_ccd_s: 2,
             t_rrd: 6,
             t_faw: 24,
             t_refi: 6240,
@@ -105,7 +106,6 @@ impl DramSpec {
             t_cl: 21,
             t_cwl: 16,
             t_ccd_l: 8,
-            t_ccd_s: 4,
             t_rrd: 8,
             t_faw: 34,
             t_refi: 11437,

@@ -10,7 +10,7 @@
 //! | `same_bank_row_misses` | `t_rcd`, `t_cl`, `t_ras`, `t_rp` |
 //! | `act_burst_across_one_rank` | `t_rrd`, `t_faw` |
 //! | `same_bank_read_pair` | `t_ccd_l` |
-//! | `cross_bank_group_read_pair` | the data bus (`t_ccd_s` is not modelled) |
+//! | `cross_bank_group_read_pair` | the data bus (one burst, JEDEC tCCD_S) |
 //! | `write_then_read` | `t_cwl` |
 //!
 //! Every probe starts on a fresh system, whose first access to a rank

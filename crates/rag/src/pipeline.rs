@@ -1,18 +1,21 @@
 //! End-to-end RAG: retrieval on a chosen platform plus the (platform
 //! independent) generation stage, with energy accounting (paper Figs.
-//! 14–15).
+//! 14–15). An APU platform runs one retrieval kernel directly on the
+//! caller's device, the single-query measurement the figures report.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use serde::{Deserialize, Serialize};
 
-use apu_sim::{ApuDevice, DeviceQueue, Frequency, Priority, QueueConfig, TaskReport};
+use apu_sim::{ApuDevice, Frequency};
 use cis_energy::{ApuPowerModel, CpuPowerModel};
 use hbm_sim::{DramEnergy, EnergyParams, MemorySystem};
 
-use crate::apu::{ApuRetriever, RagVariant, RetrievalBreakdown};
+use crate::apu::{ApuRetriever, RagVariant};
 use crate::corpus::EmbeddingStore;
 use crate::cpu::CpuRetrievalModel;
 use crate::gpu::{GenerationModel, GpuRetrievalModel};
-use crate::{Hit, Result};
+use crate::Result;
 
 /// Fixed per-query host-interface energy on the APU board (invocation,
 /// PCIe, host driver). Calibrated alongside the rail model so the
@@ -129,33 +132,10 @@ impl RagPipeline {
                 apu_energy_fractions: None,
             }),
             Platform::Apu(variant) => {
-                let retriever = ApuRetriever::new(variant);
                 let hbm_stats_before = hbm.stats();
                 let horizon_before = hbm.horizon();
-                // Retrieval goes through the device command queue (one
-                // closed-loop client): same kernel, identical results,
-                // with dispatch accounted like production serving.
-                let (_hits, breakdown, report) = {
-                    let k = self.k;
-                    let hbm_cell = std::cell::RefCell::new(&mut *hbm);
-                    let mut queue = DeviceQueue::new(&mut *dev, QueueConfig::default());
-                    let handle = queue.submit(
-                        apu_sim::TaskSpec::typed(|dev: &mut ApuDevice| {
-                            let mut hbm = hbm_cell.borrow_mut();
-                            let (hits, breakdown, report) =
-                                retriever.retrieve(dev, &mut hbm, store, query, k)?;
-                            Ok((report.clone(), (hits, breakdown, report)))
-                        })
-                        .priority(Priority::High),
-                    )?;
-                    queue.wait(handle)?;
-                    let done = queue
-                        .drain()?
-                        .into_iter()
-                        .next()
-                        .expect("one submitted task retires");
-                    done.into_output::<(Vec<Hit>, RetrievalBreakdown, TaskReport)>()?
-                };
+                let (_hits, breakdown, report) =
+                    ApuRetriever::new(variant).retrieve(dev, hbm, store, query, self.k)?;
                 // DRAM energy from the HBM model for this stream.
                 let mut delta = hbm.stats();
                 delta.activates -= hbm_stats_before.activates;
@@ -196,6 +176,7 @@ impl Default for RagPipeline {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::corpus::{CorpusSpec, EMBED_DIM};

@@ -4,9 +4,9 @@
 //! timestamps (an open-loop stream), holds the corpus as one
 //! [`MutableCorpus`] split into contiguous shards
 //! ([`EmbeddingStore::shards`]), and gives each shard its own
-//! simulated device + off-chip memory + command queue inside a
-//! [`DeviceCluster`]. A single device is simply a one-shard server:
-//! `ShardedRagServer::new(&store, 1, sim, cfg)`.
+//! simulated device + off-chip memory; each drain opens one
+//! [`DeviceQueue`] per device. A single device is simply a one-shard
+//! server: `ShardedRagServer::new(&store, 1, sim, cfg)`.
 //!
 //! Every query pins a corpus [`Snapshot`] at admission and fans out to
 //! all shards as one batchable [`snapshot_scan`] task per shard, keyed
@@ -30,17 +30,21 @@
 //! shards, flagged via [`QueryCompletion::is_degraded`] — instead of
 //! failing them.
 //!
-//! Every shard task names its device. With [`ServeConfig::replicas`]
-//! ≥ 2 every corpus shard is held by a *replica set* of devices:
-//! replica `r` of shard `s` is device `s * replicas + r` of the
-//! `shards × replicas` devices. Reads load-balance across the
-//! healthy members of each set; when a replica faults, the drain loop
-//! transparently resubmits the lost `(query, shard)` pieces on the
-//! surviving members ([`DeviceCluster::submit_failover`]) with the
-//! query's **original arrival**, so the failover delay is charged to
+//! Every shard task goes to the queue of the device the drain picks.
+//! With [`ServeConfig::replicas`] ≥ 2 every corpus shard is held by a
+//! *replica set* of devices: replica `r` of shard `s` is device
+//! `s * replicas + r` of the `shards × replicas` devices. The drain owns
+//! routing, health and failover: reads go to the least-loaded healthy
+//! member of each set, a replica's device-attributable failure marks it
+//! down for the rest of the drain (until a success revives it), and the
+//! lost `(query, shard)` pieces are resubmitted on untried members with
+//! the query's **original arrival**, so the failover delay is charged to
 //! queue wait and stage sums stay exact. A single replica fault
 //! therefore yields the *exact*, non-degraded top-k; a query degrades
-//! only when a **whole** replica set is down.
+//! only when a **whole** replica set is down. Both replica events,
+//! [`TraceEventKind::ReplicaDown`] and
+//! [`TraceEventKind::FailoverIssued`], go on the device's own queue
+//! timeline ([`DeviceQueue::emit_with`]).
 //!
 //! A drain's state is addressed by index, not by key: every query reads
 //! every shard, so its reads are the slots `position × shards + shard`
@@ -52,6 +56,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,9 +64,9 @@ use std::time::Duration;
 use apu_sim::queue::{percentile, BatchRunner};
 use apu_sim::trace::prometheus_text;
 use apu_sim::{
-    chrome_trace_json_grouped, ApuDevice, Completion, DeviceCluster, Error, FaultPlan, Priority,
+    chrome_trace_json_grouped, ApuDevice, Completion, DeviceQueue, Error, FaultPlan, Priority,
     QueueConfig, QueueStats, SimConfig, StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
-    TraceRecorder,
+    TraceEventKind, TraceRecorder,
 };
 use hbm_sim::{DramSpec, MemorySystem};
 
@@ -570,19 +575,18 @@ struct PendingQuery {
     snapshot: Arc<Snapshot>,
 }
 
-/// An online RAG retrieval server over a simulated cluster of one or
-/// more devices.
+/// An online RAG retrieval server over one or more simulated devices.
 ///
 /// The corpus is one [`MutableCorpus`] split into contiguous shards
 /// ([`EmbeddingStore::shards`]); each shard owns one simulated
 /// [`ApuDevice`] (independent virtual clock, fault plan, trace sink) and
 /// one off-chip [`MemorySystem`]. [`ShardedRagServer::drain`] fans every
-/// query out to all shards through a [`DeviceCluster`] — each shard runs
-/// the same continuous-batching retrieval kernel over its view of the
-/// query's snapshot and reports **global** document ids — then merges the per-shard
-/// top-k into the exact global top-k with the same tie-break
-/// (score descending, chunk ascending) as a whole-corpus scan, so a
-/// fault-free run is element-identical at every shard count.
+/// query out to all shards through one [`DeviceQueue`] per device — each
+/// shard runs the same continuous-batching retrieval kernel over its
+/// view of the query's snapshot and reports **global** document ids —
+/// then merges the per-shard top-k into the exact global top-k with the
+/// same tie-break (score descending, chunk ascending) as a whole-corpus
+/// scan, so a fault-free run is element-identical at every shard count.
 ///
 /// Shard failures are contained, not amplified: a query dropped by one
 /// shard (injected fault, TTL shed, kernel failure) still serves from
@@ -636,7 +640,7 @@ pub struct ShardedRagServer {
 }
 
 impl ShardedRagServer {
-    /// Builds a cluster of `shards × max(cfg.replicas, 1)` simulated
+    /// Builds a server of `shards × max(cfg.replicas, 1)` simulated
     /// devices, each configured from `sim`; replica `r` of shard `s`
     /// serves shard `s`'s contiguous slice of `store` on its own device
     /// and off-chip memory. The slices are views of `store`'s buffer. The
@@ -680,7 +684,7 @@ impl ShardedRagServer {
         })
     }
 
-    /// Builds a **mutable** sharded server: the same cluster and
+    /// Builds a **mutable** sharded server: the same devices and
     /// [`MutableCorpus`] as [`ShardedRagServer::new`], accepting writes.
     /// Queries capture an immutable snapshot at admission
     /// ([`ShardedRagServer::submit_query`]) and scan exactly that
@@ -842,8 +846,7 @@ impl ShardedRagServer {
     ///
     /// Panics if `shard` or `replica` is out of range.
     pub fn replica_device_mut(&mut self, shard: usize, replica: usize) -> &mut ApuDevice {
-        let r = self.replicas;
-        &mut self.devices[shard * r..(shard + 1) * r][replica]
+        &mut self.devices[replica_set(shard, self.replicas)][replica]
     }
 
     /// Arms fault injection on the device of a shard's **first**
@@ -896,20 +899,22 @@ impl ShardedRagServer {
         }
         let clock = self.devices[0].config().clock;
         let recorders: Vec<TraceRecorder> = shared.iter().map(|rc| rc.take()).collect();
-        let names: Vec<String> = (0..recorders.len())
-            .map(|d| {
-                if self.replicas == 1 {
-                    format!("shard {d}")
-                } else {
-                    let (s, r) = (d / self.replicas, d % self.replicas);
-                    format!("shard {s} replica {r}")
-                }
+        let replicas = self.replicas;
+        let names: Vec<(usize, String)> = (0..self.shard_count())
+            .flat_map(|s| {
+                replica_set(s, replicas).enumerate().map(move |(r, d)| {
+                    let name = if replicas == 1 {
+                        format!("shard {s}")
+                    } else {
+                        format!("shard {s} replica {r}")
+                    };
+                    (d, name)
+                })
             })
             .collect();
         let groups: Vec<(&str, &[TraceEvent])> = names
             .iter()
-            .zip(&recorders)
-            .map(|(name, recorder)| (name.as_str(), recorder.events()))
+            .map(|(d, name)| (name.as_str(), recorders[*d].events()))
             .collect();
         Some(chrome_trace_json_grouped(&groups, clock))
     }
@@ -978,11 +983,12 @@ impl ShardedRagServer {
     /// round, a read whose every copy so far failed with a
     /// *device-attributable* error ([`Error::is_transient`] — injected
     /// faults and kernel failures, **not** deadline expiry or admission
-    /// shedding) is resubmitted on the least-loaded untried replica with
-    /// the query's original arrival and deadline. The loop ends when no
-    /// read has both a fresh failure and an untried replica, so it runs
-    /// at most `replicas` rounds. Failed attempts never book latency or
-    /// stage time ([`QueueStats`] books successes only).
+    /// shedding) is resubmitted on the least-loaded untried replica,
+    /// healthy first, with the query's original arrival and deadline.
+    /// The loop ends when no read has both a fresh failure and an untried
+    /// replica, so it runs at most `replicas` rounds. Failed attempts
+    /// never book latency or stage time ([`QueueStats`] books successes
+    /// only).
     ///
     /// # Errors
     ///
@@ -1016,16 +1022,23 @@ impl ShardedRagServer {
         let ivf_cell = RefCell::new(IvfStats::default());
 
         // Borrow order matters: the per-shard closures capture these
-        // cells, so they must outlive the cluster that owns the closures.
+        // cells, so they must outlive the queues that own the closures.
         let hbm_cells: Vec<RefCell<&mut MemorySystem>> =
             self.hbms.iter_mut().map(RefCell::new).collect();
-        let mut cluster =
-            DeviceCluster::new(self.devices.iter_mut().collect(), queue_cfg, self.replicas)?;
-        let route = |cluster: &DeviceCluster<'_, '_>, s: usize, tried: &[usize]| {
-            cluster
-                .route_replica(s, tried)
-                .ok_or_else(|| Error::InvalidArg(format!("shard {s} has no replica")))
-        };
+        let mut queues: Vec<DeviceQueue<'_, '_>> = self
+            .devices
+            .iter_mut()
+            .map(|dev| DeviceQueue::new(dev, queue_cfg.clone()))
+            .collect();
+        // Replica health lives for one drain: every device starts up.
+        let mut health = vec![Health::default(); n_devices];
+        let mut down_transitions: u64 = 0;
+        let replicas = self.replicas;
+        let route =
+            |queues: &[DeviceQueue<'_, '_>], health: &[Health], s: usize, tried: &[usize]| {
+                pick_replica(queues, health, replica_set(s, replicas), tried)
+            };
+        let no_replica = |s: usize| Error::InvalidArg(format!("shard {s} has no replica"));
 
         // Builds the shard-`s` copy of a query for `device` (some
         // replica of `s`). Every copy — primary, hedge, failover —
@@ -1073,12 +1086,14 @@ impl ShardedRagServer {
         // Background compaction rides the same queues as ordinary
         // (default: low-priority) device work, one task per captured
         // plan. Plans are routed before any read is queued, so each
-        // lands on its shard's first healthy replica, and each plan's
+        // lands on its shard's first replica, and each plan's
         // unique batch key means it never coalesces with queries — and
         // gives fault injection a precise target.
         let plan_devices = plans
             .iter()
-            .map(|plan| route(&cluster, plan.shard, &[]))
+            .map(|plan| {
+                route(&queues, &health, plan.shard, &[]).ok_or_else(|| no_replica(plan.shard))
+            })
             .collect::<Result<Vec<usize>>>()?;
         // Plans and queries are submitted in one arrival order: by time,
         // a plan before a query arriving at the same instant, then by
@@ -1110,16 +1125,16 @@ impl ShardedRagServer {
                 let spec = TaskSpec::batch(key, Box::new(()), run)
                     .priority(compaction_priority)
                     .at(at);
-                let h = cluster.submit(device, spec)?;
+                let h = queues[device].submit(spec)?;
                 track(&mut origins, device, h, Origin::Plan(i))?;
                 continue;
             }
             let p = &queries[i];
             for s in 0..n_shards {
                 let slot = i * n_shards + s;
-                let primary = route(&cluster, s, &[])?;
+                let primary = route(&queues, &health, s, &[]).ok_or_else(|| no_replica(s))?;
                 let task = make_task(p, s, primary, p.spec.arrival, p.spec.priority);
-                let h = cluster.submit(primary, task)?;
+                let h = queues[primary].submit(task)?;
                 let read = |hedge| Origin::Read {
                     slot,
                     hedge,
@@ -1131,9 +1146,9 @@ impl ShardedRagServer {
                     // The hedge goes to a different replica when one
                     // exists (same device otherwise — the single-replica
                     // behavior).
-                    let hd = cluster.route_replica(s, &[primary]).unwrap_or(primary);
+                    let hd = route(&queues, &health, s, &[primary]).unwrap_or(primary);
                     let task = make_task(p, s, hd, p.spec.arrival + delay, Priority::High);
-                    let h = cluster.submit(hd, task)?;
+                    let h = queues[hd].submit(task)?;
                     track(&mut origins, hd, h, read(true))?;
                     if hd != primary {
                         slots[slot].tried.push(hd);
@@ -1142,14 +1157,18 @@ impl ShardedRagServer {
             }
         }
 
-        // Drain-and-failover loop: each round drains every device, feeds
-        // health tracking, then resubmits fully-failed reads on untried
-        // replicas. Bounded: each failover consumes an untried replica.
+        // Drain-and-failover loop: each round drains every device (each
+        // on its own virtual timeline), feeds replica health, then
+        // resubmits fully-failed reads on untried replicas. Bounded: each
+        // failover consumes an untried replica.
         let mut comp_results: Vec<(usize, Completion)> = Vec::new();
         let mut failover_submissions: u64 = 0;
         let mut round: u32 = 0;
         loop {
-            let drained = cluster.drain()?;
+            let drained = queues
+                .iter_mut()
+                .map(DeviceQueue::drain)
+                .collect::<Result<Vec<_>>>()?;
             let mut touched: Vec<usize> = Vec::new();
             for (device, completions) in drained.into_iter().enumerate() {
                 for done in completions {
@@ -1162,10 +1181,14 @@ impl ShardedRagServer {
                             // Health hears device-attributable outcomes
                             // only: deadline expiry and admission shedding
                             // say nothing about the replica.
-                            if done.is_ok() {
-                                cluster.record_outcome(device, true, done.finished_at);
-                            } else if done.error().is_some_and(Error::is_transient) {
-                                cluster.record_outcome(device, false, done.finished_at);
+                            let ok = done.is_ok();
+                            if ok || done.error().is_some_and(Error::is_transient) {
+                                if let Some(failures) = health[device].record(ok) {
+                                    down_transitions += 1;
+                                    queues[device].emit_with(done.finished_at, || {
+                                        TraceEventKind::ReplicaDown { device, failures }
+                                    });
+                                }
                             }
                             touched.push(slot);
                             slots[slot].copies.push(Retired {
@@ -1207,7 +1230,7 @@ impl ShardedRagServer {
                 {
                     continue;
                 }
-                let Some(next) = cluster.route_replica(s, &read.tried) else {
+                let Some(next) = route(&queues, &health, s, &read.tried) else {
                     continue; // replica set exhausted: the slot stays failed
                 };
                 let Some(last) = read.copies.iter().max_by_key(|c| c.done.finished_at) else {
@@ -1215,7 +1238,16 @@ impl ShardedRagServer {
                 };
                 let p = &queries[slot / n_shards];
                 let spec = make_task(p, s, next, p.spec.arrival, p.spec.priority);
-                let h = cluster.submit_failover(next, spec, last.device, last.done.finished_at)?;
+                // Resubmitting with the original arrival puts the
+                // failover delay in the new copy's queue wait, so its
+                // stage sum still equals the end-to-end latency.
+                let queue = &mut queues[next];
+                let h = queue.submit(spec)?;
+                queue.emit_with(last.done.finished_at, || TraceEventKind::FailoverIssued {
+                    handle: h.id(),
+                    from_device: last.device,
+                    to_device: next,
+                });
                 let origin = Origin::Read {
                     slot,
                     hedge: false,
@@ -1246,8 +1278,7 @@ impl ShardedRagServer {
         }
         // Queue counters are cumulative across drain rounds, so one
         // final per-device snapshot is the running total.
-        let shard_stats: Vec<QueueStats> =
-            (0..n_devices).map(|d| cluster.stats(d).clone()).collect();
+        let shard_stats: Vec<QueueStats> = queues.iter().map(|q| q.stats().clone()).collect();
 
         let mut queue = QueueStats::default();
         for st in &shard_stats {
@@ -1268,12 +1299,12 @@ impl ShardedRagServer {
             groups: n_shards,
             per_shard: self.replicas,
             failovers: failover_submissions,
-            down: cluster.health().down_transitions(),
+            down: down_transitions,
             failover_served,
         };
-        // The cluster's runners borrow the devices and memories; release
+        // The queues' runners borrow the devices and memories; release
         // them before reading the corpus counters.
-        drop(cluster);
+        drop(queues);
         let ivf = *ivf_cell.borrow();
         Ok(ServeReport {
             completions,
@@ -1299,6 +1330,52 @@ enum Origin {
     },
     /// The compaction plan at this index of the drain's plans.
     Plan(usize),
+}
+
+/// The devices holding shard `shard`'s replica set: replica `r` is device
+/// `shard * replicas + r`.
+fn replica_set(shard: usize, replicas: usize) -> Range<usize> {
+    shard * replicas..(shard + 1) * replicas
+}
+
+/// One device's replica health within a drain.
+#[derive(Debug, Clone, Copy, Default)]
+struct Health {
+    down: bool,
+    /// Device-attributable failures this drain.
+    failures: u64,
+}
+
+impl Health {
+    /// Records one device-attributable outcome: a success revives the
+    /// replica, a failure marks it down. Returns the failure count when
+    /// this outcome took the replica from up to down.
+    fn record(&mut self, ok: bool) -> Option<u64> {
+        if ok {
+            self.down = false;
+            return None;
+        }
+        self.failures += 1;
+        let went_down = !self.down;
+        self.down = true;
+        went_down.then_some(self.failures)
+    }
+}
+
+/// Read load-balancing over one replica set: the replica not in `tried`
+/// with the least pending work, healthy first, ties to the lowest device.
+/// When every untried replica is down the health filter drops (a down
+/// replica might still answer). `None` once every replica was tried.
+fn pick_replica(
+    queues: &[DeviceQueue<'_, '_>],
+    health: &[Health],
+    set: Range<usize>,
+    tried: &[usize],
+) -> Option<usize> {
+    set.filter(|d| !tried.contains(d))
+        .filter_map(|d| Some((health.get(d)?.down, queues.get(d)?.pending(), d)))
+        .min()
+        .map(|(_, _, d)| d)
 }
 
 /// One (query, shard) read: the replicas tried so far and every retired
